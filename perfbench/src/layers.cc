@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/thread_pool.h"
+#include "pin.h"
 #include "server/query_text.h"
 #include "standoff/merge_join.h"
 #include "standoff/parallel_join.h"
@@ -204,7 +205,9 @@ bool MeasureLayers(const LayerContext& ctx,
   };
   const size_t docs = w.corpus.standoff_xml.size();
 
-  // xml, storage: parse, ingest, snapshot save and open.
+  // xml, storage: parse, ingest, snapshot save and open, index build, on
+  // one CPU as the benchmark's set-up runs.
+  auto pin = std::make_unique<PinToOneCpu>();
   put("xml.parse_ms", 1e3 * MedianSeconds(tracer, "xml.Parse", 3, [&] {
         err.Check(standoff::xml::Parse(w.corpus.standoff_xml[0]).status(),
                   "xml::Parse");
@@ -261,6 +264,7 @@ bool MeasureLayers(const LayerContext& ctx,
                       .status(),
                   "RegionIndex::Build");
       }), "ms");
+  pin.reset();
 
   // server and xquery text parsing: per call, over the whole pool.
   constexpr int kParseRounds = 20;
@@ -287,8 +291,10 @@ bool MeasureLayers(const LayerContext& ctx,
       }) / (kParseRounds * std::max<size_t>(1, flwors.size())), "us");
 
   // common: time from ThreadPool::Submit to the task starting, one task
-  // at a time as the server hands queries over.
+  // at a time as the server hands queries over, on the one CPU the wire
+  // phase runs on.
   {
+    PinToOneCpu pin;
     ThreadPool pool(kServerWorkers);
     std::vector<double> handoff;
     std::mutex mu;

@@ -12,7 +12,6 @@
 // attempted, failed and the metrics (end-to-end with --trace=0,
 // per-layer with --trace=1). --ladder runs the open-loop reference rate
 // ladder instead and prints one JSON line per rate.
-#include <sched.h>
 #include <signal.h>
 #include <unistd.h>
 
@@ -31,8 +30,10 @@
 #include <vector>
 
 #include "common/thread_pool.h"
+#include "fsync_clock.h"
 #include "layers.h"
 #include "oracle.h"
+#include "pin.h"
 #include "server/client.h"
 #include "server_proc.h"
 #include "storage/ingest.h"
@@ -49,7 +50,7 @@ using standoff::server::Client;
 using standoff::server::QueryReply;
 
 // Each run sets up this many times and reports the median set-up time.
-constexpr int kSetups = 5;
+constexpr int kSetups = 15;
 // Server configuration, the same for every workload: two pool workers,
 // an admission bound well above the client count, every write fsynced
 // before its ack, and a compaction after this many pending delta rows.
@@ -87,18 +88,38 @@ struct Tally {
   }
 };
 
-bool Matches(const ReadQuery& q, const QueryReply& reply) {
-  return !reply.busy && reply.rows == q.expected_rows &&
-         reply.payload.size() == q.expected_bytes &&
-         HashPayload(reply.payload) == q.expected_hash;
+/// Whether `reply` is `q`'s answer after k writes, for some k in
+/// [lo, hi] (clamped to the answers `q` has).
+bool Matches(const ReadQuery& q, const QueryReply& reply, size_t lo = 0,
+             size_t hi = 0) {
+  if (reply.busy) return false;
+  hi = std::min(hi, q.answers.size() - 1);
+  const uint64_t hash = HashPayload(reply.payload);
+  for (size_t k = std::min(lo, hi); k <= hi; ++k) {
+    const Answer& a = q.answers[k];
+    if (reply.rows == a.rows && reply.payload.size() == a.bytes &&
+        hash == a.hash) {
+      return true;
+    }
+  }
+  return false;
 }
 
-std::string Describe(const ReadQuery& q,
-                     const standoff::StatusOr<QueryReply>& reply) {
-  if (!reply.ok()) return q.text + ": " + reply.status().ToString();
-  if (reply->busy) return q.text + ": busy after retries";
-  return q.text + ": wrong answer (" + std::to_string(reply->rows) +
-         " rows, expected " + std::to_string(q.expected_rows) + ")";
+/// Counts one read in *tally: failed unless `reply` is `q`'s answer after
+/// k writes for some k in [lo, hi]. Returns whether it passed.
+bool CheckRead(const ReadQuery& q, const standoff::StatusOr<QueryReply>& reply,
+               Tally* tally, size_t lo = 0, size_t hi = 0) {
+  ++tally->attempted;
+  if (reply.ok() && Matches(q, *reply, lo, hi)) return true;
+  if (!reply.ok()) {
+    tally->Fail(q.text + ": " + reply.status().ToString());
+  } else if (reply->busy) {
+    tally->Fail(q.text + ": busy after retries");
+  } else {
+    tally->Fail(q.text + ": wrong answer (" + std::to_string(reply->rows) +
+                " rows)");
+  }
+  return false;
 }
 
 std::vector<std::string> ServerArgs(const std::string& snapshot,
@@ -119,37 +140,6 @@ double DirMb(const std::string& dir) {
   }
   return static_cast<double>(bytes) / (1 << 20);
 }
-
-/// Restricts the calling thread, and the threads and processes it
-/// starts, to the last CPU it may run on; restores the previous set on
-/// destruction. The server and the load generator share that CPU during
-/// the wire phase: on a virtual machine a thread that wakes another on
-/// an idle CPU waits for the host to run that CPU, and that wait varies
-/// by a factor of two from minute to minute.
-class PinToOneCpu {
- public:
-  PinToOneCpu() {
-    if (sched_getaffinity(0, sizeof saved_, &saved_) != 0) return;
-    int last = -1;
-    for (int c = 0; c < CPU_SETSIZE; ++c) {
-      if (CPU_ISSET(c, &saved_)) last = c;
-    }
-    if (last < 0) return;
-    cpu_set_t one;
-    CPU_ZERO(&one);
-    CPU_SET(last, &one);
-    pinned_ = sched_setaffinity(0, sizeof one, &one) == 0;
-  }
-  ~PinToOneCpu() {
-    if (pinned_) sched_setaffinity(0, sizeof saved_, &saved_);
-  }
-  PinToOneCpu(const PinToOneCpu&) = delete;
-  PinToOneCpu& operator=(const PinToOneCpu&) = delete;
-
- private:
-  cpu_set_t saved_;
-  bool pinned_ = false;
-};
 
 uint32_t Hardware() {
   return std::max<uint32_t>(1, std::thread::hardware_concurrency());
@@ -197,7 +187,8 @@ bool IngestAndSave(const Workload& w, const std::string& path,
 struct Setup {
   std::string dir, snapshot, wal;
   ServerProcess proc;
-  double seconds = 0;
+  double seconds = 0;        // wall time, less fsync_seconds
+  double fsync_seconds = 0;  // blocked in SaveSnapshot's fsyncs
 };
 
 bool RunSetup(const Options& opt, const Workload& w, size_t probe,
@@ -211,13 +202,18 @@ bool RunSetup(const Options& opt, const Workload& w, size_t probe,
   out->snapshot = dir + "/corpus.sosnap";
   out->wal = dir + "/wal";
   ScopedSpan setup(tracer, "setup");
+  // Set-up runs on the one CPU of the wire phase, pool threads and the
+  // server included: unpinned, its median followed the host's wake-up
+  // latency and drifted by a quarter within an hour.
+  PinToOneCpu pin;
   const int64_t t0 = NowNs();
+  const int64_t fsync0 = FsyncNs();
   if (!IngestAndSave(w, out->snapshot, tracer, setup.id(), error)) {
     return false;
   }
+  const int64_t fsync_ns = FsyncNs() - fsync0;
   {
     ScopedSpan span(tracer, "server.boot", setup.id());
-    PinToOneCpu pin;
     if (!out->proc.Start(opt.server, ServerArgs(out->snapshot, out->wal),
                          error)) {
       return false;
@@ -231,17 +227,21 @@ bool RunSetup(const Options& opt, const Workload& w, size_t probe,
   const ReadQuery& q = w.reads[probe];
   ScopedSpan span(tracer, "wire.first_query", setup.id());
   auto reply = (*client)->QueryWithRetry(q.text);
-  out->seconds = (NowNs() - t0) / 1e9;
-  ++tally->attempted;
-  if (!reply.ok() || !Matches(q, *reply)) {
-    tally->Fail(Describe(q, reply));
+  out->seconds = (NowNs() - t0 - fsync_ns) / 1e9;
+  out->fsync_seconds = fsync_ns / 1e9;
+  if (!CheckRead(q, reply, tally)) {
+    *self_test_error = "did not run: the first answer was wrong";
     return true;
   }
-  // The checker must report a planted wrong row: flip one byte of the
-  // last row of a correct answer.
+  // The checker must count a planted wrong row as a failed operation:
+  // flip one byte of the last row of a correct answer. The planted read
+  // has a tally of its own, so the run's failed share stays that of the
+  // program's answers.
   QueryReply planted = *reply;
   planted.payload.back() ^= 1;
-  if (Matches(q, planted)) {
+  Tally planted_tally;
+  CheckRead(q, planted, &planted_tally);
+  if (planted_tally.attempted != 1 || planted_tally.failed != 1) {
     *self_test_error = "the checker accepted a planted wrong row";
   }
   return true;
@@ -257,10 +257,14 @@ struct ReadTally {
 
 /// Closed loop: one connection sends `order` round and round until
 /// `deadline`; requests started at or after `measure_from` are timed.
+/// `writes_done` counts the write replies received. Writes go out one
+/// at a time, so a read sees the state after k writes for some k from
+/// the count before it was sent to one more than the count after its
+/// reply (the write in flight may already be applied).
 void ReadLoop(uint16_t port, const std::vector<ReadQuery>& reads,
               const std::vector<uint32_t>& order, size_t offset,
               int64_t measure_from, int64_t deadline,
-              const std::atomic<uint64_t>* write_acks, Tracer* tracer,
+              const std::atomic<uint64_t>* writes_done, Tracer* tracer,
               ReadTally* out) {
   auto client = Client::Connect(port);
   if (!client.ok()) {
@@ -268,12 +272,12 @@ void ReadLoop(uint16_t port, const std::vector<ReadQuery>& reads,
     out->tally.Fail("connect: " + client.status().ToString());
     return;
   }
-  uint64_t seen_acks = write_acks->load();
+  uint64_t seen_writes = writes_done->load();
   for (size_t i = offset; NowNs() < deadline; ++i) {
     const ReadQuery& q = reads[order[i % order.size()]];
-    const uint64_t acks = write_acks->load();
-    const bool after_write = acks != seen_acks;
-    seen_acks = acks;
+    const uint64_t before = writes_done->load();
+    const bool after_write = before != seen_writes;
+    seen_writes = before;
     const uint64_t request = tracer->enabled() ? tracer->NewId() : 0;
     const int64_t t0 = NowNs();
     auto reply = [&] {
@@ -281,9 +285,7 @@ void ReadLoop(uint16_t port, const std::vector<ReadQuery>& reads,
       return (*client)->QueryWithRetry(q.text);
     }();
     const int64_t t1 = NowNs();
-    ++out->tally.attempted;
-    if (!reply.ok() || !Matches(q, *reply)) {
-      out->tally.Fail(Describe(q, reply));
+    if (!CheckRead(q, reply, &out->tally, before, writes_done->load() + 1)) {
       if (!reply.ok()) {
         auto again = Client::Connect(port);
         if (again.ok()) client = std::move(again);
@@ -309,9 +311,10 @@ struct WriteTally {
 
 /// Sends `ops` on one connection, open loop at `rate` per second from
 /// `start_ns`; each latency counts from the op's scheduled time.
+/// *writes_done counts the replies, acknowledged or not.
 void WriteLoop(uint16_t port, const std::vector<WriteOp>& ops, double rate,
-               int64_t start_ns, std::atomic<uint64_t>* acks, Tracer* tracer,
-               WriteTally* out) {
+               int64_t start_ns, std::atomic<uint64_t>* writes_done,
+               Tracer* tracer, WriteTally* out) {
   auto client = Client::Connect(port);
   if (!client.ok()) {
     ++out->tally.attempted;
@@ -337,6 +340,7 @@ void WriteLoop(uint16_t port, const std::vector<WriteOp>& ops, double rate,
                        : (*client)->DeleteRegions(op.doc, op.id);
     }();
     const int64_t done = NowNs();
+    writes_done->fetch_add(1);
     ++out->tally.attempted;
     if (!seq.ok()) {
       out->tally.Fail(std::string(op.insert ? "insert" : "delete") + " id " +
@@ -344,7 +348,6 @@ void WriteLoop(uint16_t port, const std::vector<WriteOp>& ops, double rate,
       continue;
     }
     out->acked.push_back(op);
-    acks->fetch_add(1);
     out->latency_us.push_back((done - scheduled) / 1e3);
   }
 }
@@ -368,14 +371,7 @@ void SettleCompactions(Client* admin) {
 void CheckDurability(const Workload& w, uint16_t port,
                      const std::vector<WriteOp>& acked, Tally* tally) {
   RegionModel model = BaseRegions(w.write_standoff_tree);
-  for (const WriteOp& op : acked) {
-    auto& regions = model[op.id - 1];
-    if (op.insert) {
-      regions.emplace_back(op.start, op.end);
-    } else {
-      regions.clear();
-    }
-  }
+  for (const WriteOp& op : acked) ApplyWrite(op, &model);
   auto client = Client::Connect(port);
   for (const Chain& chain : w.durability_chains) {
     ++tally->attempted;
@@ -469,11 +465,7 @@ void RunLadder(const Options& opt, const Workload& w, uint16_t port,
           end_late_ms[c] = std::max<double>(0, -wait / 1e6);
           const ReadQuery& q = w.reads[order[sent % order.size()]];
           auto reply = (*client)->QueryWithRetry(q.text);
-          ++tallies[c].attempted;
-          if (!reply.ok() || !Matches(q, *reply)) {
-            tallies[c].Fail(Describe(q, reply));
-            continue;
-          }
+          if (!CheckRead(q, reply, &tallies[c])) continue;
           lat[c].push_back((NowNs() - scheduled) / 1e3);
         }
       });
@@ -505,7 +497,9 @@ int Run(const Options& opt) {
     return 1;
   }
   size_t probe = 0;
-  while (probe < w.reads.size() && w.reads[probe].expected_rows == 0) ++probe;
+  while (probe < w.reads.size() && w.reads[probe].answers[0].rows == 0) {
+    ++probe;
+  }
   if (probe == w.reads.size()) {
     std::fprintf(stderr, "perfbench: every read answer is empty\n");
     return 1;
@@ -528,7 +522,7 @@ int Run(const Options& opt) {
                            std::to_string(::getpid());
   Tally tally;
   std::string self_test_error;
-  std::vector<double> setup_seconds;
+  std::vector<double> setup_seconds, setup_fsync_seconds;
   Setup setup;
   const int setups = opt.trace || !opt.ladder.empty() ? 1 : kSetups;
   for (int s = 0; s < setups; ++s) {
@@ -545,6 +539,7 @@ int Run(const Options& opt) {
       return 1;
     }
     setup_seconds.push_back(setup.seconds);
+    setup_fsync_seconds.push_back(setup.fsync_seconds);
   }
   const uint16_t port = setup.proc.port();
 
@@ -576,7 +571,7 @@ int Run(const Options& opt) {
   const int64_t measure_from =
       NowNs() + static_cast<int64_t>(kWarmupSeconds * 1e9);
   const int64_t deadline = measure_from + static_cast<int64_t>(opt.seconds * 1e9);
-  std::atomic<uint64_t> write_acks{0};
+  std::atomic<uint64_t> writes_done{0};
   std::vector<ReadTally> read_tallies(readers);
   std::vector<std::thread> threads;
   for (uint32_t r = 0; r < readers; ++r) {
@@ -584,7 +579,7 @@ int Run(const Options& opt) {
       const std::vector<uint32_t> order =
           Shuffled(w.reads.size(), opt.seed * 31 + r);
       ReadLoop(port, w.reads, order, r * order.size() / readers, measure_from,
-               deadline, &write_acks, &tracer, &read_tallies[r]);
+               deadline, &writes_done, &tracer, &read_tallies[r]);
     });
   }
   const bool open_loop = w.writes_during_reads;
@@ -596,7 +591,7 @@ int Run(const Options& opt) {
   const double cpu_before = setup.proc.CpuSeconds();
   if (open_loop) {
     writer = std::thread([&] {
-      WriteLoop(port, w.writes, w.write_rate, measure_from, &write_acks,
+      WriteLoop(port, w.writes, w.write_rate, measure_from, &writes_done,
                 &tracer, &writes);
     });
   }
@@ -630,7 +625,7 @@ int Run(const Options& opt) {
   // The traced runs of the read-only workloads end with a write probe,
   // after the reads: it measures acknowledged-write latency there.
   if (!open_loop && opt.trace) {
-    WriteLoop(port, w.writes, w.write_rate, NowNs(), &write_acks, &tracer,
+    WriteLoop(port, w.writes, w.write_rate, NowNs(), &writes_done, &tracer,
               &writes);
   }
   tally.Add(writes.tally);
@@ -666,8 +661,7 @@ int Run(const Options& opt) {
   const double window_s =
       std::max(1e-9, (reads.last_done_ns - measure_from) / 1e9);
   if (!opt.trace) {
-    std::sort(setup_seconds.begin(), setup_seconds.end());
-    metrics["setup_s"] = {setup_seconds[setup_seconds.size() / 2], "s"};
+    metrics["setup_s"] = {Median(setup_seconds), "s"};
     metrics["read_qps"] = {reads.rtt_us.size() / window_s, "1/s"};
     metrics["read_p50_ms"] = {Median(reads.rtt_us) / 1e3, "ms"};
     metrics["rss_mb"] = {Median(rss_samples), "MB"};
@@ -706,6 +700,7 @@ int Run(const Options& opt) {
           "count"};
     }
     metrics["wal.replay_ms"] = {replay_ms, "ms"};
+    metrics["setup.fsync_ms"] = {Median(setup_fsync_seconds) * 1e3, "ms"};
     LayerContext ctx{w, root + "/layers", kCompactThreshold, &tracer};
     std::map<std::string, std::pair<double, std::string>> layers;
     if (!MeasureLayers(ctx, &layers, &error)) {
@@ -730,7 +725,8 @@ int Run(const Options& opt) {
 
   std::fprintf(stderr,
                "perfbench: reads %zu in %.2f s, writes acked %zu (generator "
-               "late by up to %.1f ms), setups %s s\n",
+               "late by up to %.1f ms), setups %s s, of which fsync "
+               "%.1f ms (median) is not counted\n",
                reads.rtt_us.size(), window_s, writes.acked.size(),
                writes.max_late_ms,
                [&] {
@@ -740,7 +736,8 @@ int Run(const Options& opt) {
                  }
                  return s;
                }()
-                   .c_str());
+                   .c_str(),
+               Median(setup_fsync_seconds) * 1e3);
   if (!tally.first_failure.empty()) {
     std::fprintf(stderr, "perfbench: first failure: %s\n",
                  tally.first_failure.c_str());

@@ -26,7 +26,6 @@ class ServerProcess {
              std::string* error);
 
   uint16_t port() const { return port_; }
-  bool running() const { return pid_ > 0; }
 
   /// utime + stime of the server so far, in seconds.
   double CpuSeconds() const;

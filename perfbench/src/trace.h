@@ -46,16 +46,6 @@ class Tracer {
     spans_.push_back(std::move(span));
   }
 
-  /// Durations (microseconds) of every span named `name`.
-  std::vector<double> DurationsUs(const std::string& name) const {
-    std::lock_guard<std::mutex> lock(mu_);
-    std::vector<double> out;
-    for (const Span& s : spans_) {
-      if (s.name == name) out.push_back((s.end_ns - s.start_ns) / 1e3);
-    }
-    return out;
-  }
-
   /// Writes one JSON object per span, one per line.
   bool WriteJsonLines(const std::string& path) const {
     std::lock_guard<std::mutex> lock(mu_);

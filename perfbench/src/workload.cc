@@ -108,19 +108,27 @@ bool NonEmptyFlwor(const Flwor& flwor, const std::string& payload) {
   return false;
 }
 
+uint32_t U32At(const std::string& payload, size_t at) {
+  uint32_t v = 0;
+  for (int i = 0; i < 4; ++i) {
+    v |= static_cast<uint32_t>(static_cast<unsigned char>(payload[at + i]))
+         << (8 * i);
+  }
+  return v;
+}
+
+/// A chain payload's match count: after the u32 context count and the
+/// context pres.
 uint32_t RowsOfChainPayload(const std::string& payload) {
-  uint32_t ctx = 0;
-  for (int i = 0; i < 4; ++i) {
-    ctx |= static_cast<uint32_t>(static_cast<unsigned char>(payload[i]))
-           << (8 * i);
-  }
-  const size_t at = 4 + 4 * static_cast<size_t>(ctx);
-  uint32_t rows = 0;
-  for (int i = 0; i < 4; ++i) {
-    rows |= static_cast<uint32_t>(static_cast<unsigned char>(payload[at + i]))
-            << (8 * i);
-  }
-  return rows;
+  return U32At(payload, 4 + 4 * static_cast<size_t>(U32At(payload, 0)));
+}
+
+Answer AnswerOf(const std::string& payload, uint64_t rows) {
+  return {HashPayload(payload), rows, payload.size()};
+}
+
+bool operator!=(const Answer& a, const Answer& b) {
+  return a.hash != b.hash || a.rows != b.rows || a.bytes != b.bytes;
 }
 
 /// Collects a family's queries, dropping duplicates, and records whether
@@ -139,7 +147,7 @@ class PoolBuilder {
     const uint32_t rows = RowsOfChainPayload(payload);
     if (rows > kMaxRows) return false;
     nonempty_[family] |= rows > 0;
-    Add(text, payload, rows);
+    Add(text, AnswerOf(payload, rows));
     return true;
   }
 
@@ -148,12 +156,7 @@ class PoolBuilder {
     if (!seen_.insert(text).second) return false;
     const std::string payload = ExpectedFlworPayload(corpus_.trees[0], flwor);
     nonempty_[family] |= NonEmptyFlwor(flwor, payload);
-    uint32_t items = 0;
-    for (int i = 0; i < 4; ++i) {
-      items |= static_cast<uint32_t>(static_cast<unsigned char>(payload[i]))
-               << (8 * i);
-    }
-    Add(text, payload, items);
+    Add(text, AnswerOf(payload, U32At(payload, 0)));
     return true;
   }
 
@@ -172,14 +175,8 @@ class PoolBuilder {
   std::vector<ReadQuery> Take() { return std::move(queries_); }
 
  private:
-  void Add(const std::string& text, const std::string& payload,
-           uint64_t rows) {
-    ReadQuery q;
-    q.text = text;
-    q.expected_hash = HashPayload(payload);
-    q.expected_rows = rows;
-    q.expected_bytes = payload.size();
-    queries_.push_back(std::move(q));
+  void Add(const std::string& text, const Answer& answer) {
+    queries_.push_back({text, {answer}});
   }
 
   const Corpus& corpus_;
@@ -210,9 +207,22 @@ bool GenerateCorpus(const std::vector<double>& scales, uint64_t seed,
   return true;
 }
 
+/// Reads of the write document: the descendants of every element of a
+/// kind the write stream inserts regions on (item, open_auction) or
+/// deletes (person). On mixed_rw their answers change with the writes,
+/// and the first read after a write merges the pending delta into the
+/// document's region index.
+std::vector<Chain> WriteDocChains(uint32_t doc) {
+  constexpr Op sn = Op::kSelectNarrow;
+  return {{doc, "item", {{sn, "*"}}},
+          {doc, "open_auction", {{sn, "*"}}},
+          {doc, "person", {{sn, "*"}}}};
+}
+
 /// The small repeated set: selective chains and Q1/Q2/Q6/Q7-style FLWOR
-/// lookups over document 0.
-void PointPool(Rng& rng, const Tree& tree, PoolBuilder* pool) {
+/// lookups over document 0, and the reads of the write document.
+void PointPool(Rng& rng, const Tree& tree, uint32_t write_doc,
+               PoolBuilder* pool) {
   constexpr Op sn = Op::kSelectNarrow;
   const Chain chains[] = {
       {0, "open_auction", {{sn, "bidder"}, {sn, "personref"}}},
@@ -225,6 +235,9 @@ void PointPool(Rng& rng, const Tree& tree, PoolBuilder* pool) {
       {0, Pick(rng, kContinents), {{sn, "item"}, {sn, "incategory"}}},
   };
   for (const Chain& chain : chains) pool->AddChain("point_chain", chain);
+  for (const Chain& chain : WriteDocChains(write_doc)) {
+    pool->AddChain("write_doc", chain);
+  }
 
   const size_t persons = tree.by_name[tree.NameId("person")].size();
   for (int added = 0, tries = 0; added < 4 && tries < 100; ++tries) {
@@ -386,7 +399,46 @@ std::vector<WriteOp> ProbeStream(Rng& rng, const Corpus& corpus,
   return ops;
 }
 
+/// Gives each read of the write document one answer per prefix of the
+/// write stream, by brute force over the base regions plus the writes
+/// so far. Before any write the brute-force answer must equal the one
+/// read off the nested original: the two oracles check each other.
+bool AnswersAfterWrites(Workload* w, std::string* error) {
+  std::vector<std::pair<ReadQuery*, Chain>> changing;
+  for (const Chain& chain : WriteDocChains(w->write_doc)) {
+    const std::string text = ChainText(chain);
+    for (ReadQuery& q : w->reads) {
+      if (q.text == text) changing.push_back({&q, chain});
+    }
+  }
+  RegionModel model = BaseRegions(w->write_standoff_tree);
+  for (size_t k = 0; k <= w->writes.size(); ++k) {
+    if (k > 0) ApplyWrite(w->writes[k - 1], &model);
+    for (auto& [q, chain] : changing) {
+      const std::string payload =
+          BruteChainPayload(w->write_standoff_tree, model, chain);
+      const Answer answer = AnswerOf(payload, RowsOfChainPayload(payload));
+      if (k > 0) {
+        q->answers.push_back(answer);
+      } else if (answer != q->answers[0]) {
+        *error = "the brute-force and tree oracles disagree on " + q->text;
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
 }  // namespace
+
+void ApplyWrite(const WriteOp& op, RegionModel* model) {
+  auto& regions = (*model)[op.id - 1];
+  if (op.insert) {
+    regions.emplace_back(op.start, op.end);
+  } else {
+    regions.clear();
+  }
+}
 
 bool BuildWorkload(const std::string& name, uint64_t seed, double seconds,
                    Workload* out, std::string* error) {
@@ -408,7 +460,7 @@ bool BuildWorkload(const std::string& name, uint64_t seed, double seconds,
   if (name == "scan_read") {
     ScanPool(out->corpus, &pool);
   } else {
-    PointPool(rng, out->corpus.trees[0], &pool);
+    PointPool(rng, out->corpus.trees[0], out->write_doc, &pool);
   }
   if (!pool.CheckFamilies(error)) return false;
   out->reads = pool.Take();
@@ -432,6 +484,7 @@ bool BuildWorkload(const std::string& name, uint64_t seed, double seconds,
       out->durability_chains.push_back(
           {out->write_doc, "*", {{Op::kSelectNarrow, n}}});
     }
+    if (!AnswersAfterWrites(out, error)) return false;
   } else {
     out->writes = ProbeStream(rng, out->corpus, out->write_doc, kProbeWrites);
   }

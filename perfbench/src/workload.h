@@ -18,11 +18,20 @@ struct Corpus {
   std::vector<Tree> trees;                // the parsed nested originals
 };
 
+/// What a correct reply carries: its row (or item) count, its size and
+/// the hash of its payload.
+struct Answer {
+  uint64_t hash = 0;
+  uint64_t rows = 0;
+  size_t bytes = 0;
+};
+
 struct ReadQuery {
   std::string text;  // kQueryReq body
-  uint64_t expected_hash = 0;
-  uint64_t expected_rows = 0;
-  size_t expected_bytes = 0;
+  /// answers[k] is the answer after the first k writes of the run's
+  /// write stream. One answer for a query no write changes; on mixed_rw
+  /// the reads of the write document have one per prefix of the stream.
+  std::vector<Answer> answers;
 };
 
 struct WriteOp {
@@ -31,6 +40,10 @@ struct WriteOp {
   uint32_t id = 0;  // pre of the annotated element
   int64_t start = 0, end = 0;
 };
+
+/// Applies one acknowledged write to the region model: an insert adds a
+/// region to the element, a delete drops all of them.
+void ApplyWrite(const WriteOp& op, RegionModel* model);
 
 struct Workload {
   uint32_t shards = 2;
@@ -46,7 +59,8 @@ struct Workload {
   std::vector<WriteOp> writes;
   uint32_t write_doc = 0;
   /// The write document's StandOff form (base regions for the
-  /// durability oracle) and the chains that read every written id back.
+  /// brute-force oracle) and the chains that read every written id back
+  /// after the restart.
   Tree write_standoff_tree;
   std::vector<Chain> durability_chains;
 };
