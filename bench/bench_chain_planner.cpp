@@ -117,8 +117,8 @@ void BM_ChainOrder(benchmark::State& state) {
   const so::ChainPlan plan =
       so::PlanChain(w->spec, modes[state.range(1)]);
   so::JoinArenaPool arenas;
-  so::ChainExecOptions options;
-  options.parallel.arenas = &arenas;
+  so::ParallelJoinOptions options;
+  options.arenas = &arenas;
   size_t results = 0;
   for (auto _ : state) {
     std::vector<so::IterMatch> out;

@@ -44,7 +44,7 @@ def main() -> int:
             if build != "release":
                 failures.append(
                     f"{binary}: benchmark library_build_type={build!r} "
-                    "(need 'release'; see STANDOFF_GBENCH_FROM_SOURCE)")
+                    "(need 'release'; build with CMAKE_BUILD_TYPE=Release)")
     for binary, metrics in baseline["metrics"].items():
         runs = {b["name"]: b
                 for b in results.get(binary, {}).get("benchmarks", [])}

@@ -116,8 +116,7 @@ for path in sorted(pathlib.Path(tmp_dir).glob("*.json")):
 if debug_contexts and not allow_debug:
     print("refusing to record non-release benchmark-library contexts:\n  "
           + "\n  ".join(debug_contexts)
-          + "\n(reconfigure with STANDOFF_GBENCH_FROM_SOURCE=ON and "
-          "CMAKE_BUILD_TYPE=Release, or set "
+          + "\n(reconfigure with CMAKE_BUILD_TYPE=Release, or set "
           "STANDOFF_BENCH_ALLOW_NON_RELEASE=1)", file=sys.stderr)
     sys.exit(1)
 pathlib.Path(out_path).write_text(json.dumps(merged, indent=2) + "\n")

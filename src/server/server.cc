@@ -3,9 +3,11 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cerrno>
 #include <condition_variable>
 #include <cstring>
@@ -24,6 +26,33 @@ namespace {
 /// Result kinds stamped into kResultHeader.
 constexpr uint8_t kKindChain = 0;
 constexpr uint8_t kKindFlwor = 1;
+
+/// True when `base` names a server-named generation of the boot
+/// snapshot `boot`: "<boot>.gen<N>" with N all digits, in the same
+/// directory however either path spells it.
+bool IsServerGeneration(const std::string& base, const std::string& boot) {
+  const auto split = [](const std::string& path) {
+    const size_t slash = path.rfind('/');
+    if (slash == std::string::npos) {
+      return std::make_pair(std::string("."), path);
+    }
+    return std::make_pair(path.substr(0, slash + 1), path.substr(slash + 1));
+  };
+  const auto [base_dir, base_name] = split(base);
+  const auto [boot_dir, boot_name] = split(boot);
+  const std::string prefix = boot_name + ".gen";
+  if (base_name.size() <= prefix.size() ||
+      base_name.compare(0, prefix.size(), prefix) != 0) {
+    return false;
+  }
+  for (size_t i = prefix.size(); i < base_name.size(); ++i) {
+    if (!std::isdigit(static_cast<unsigned char>(base_name[i]))) return false;
+  }
+  struct stat a, b;
+  return ::stat(base_dir.c_str(), &a) == 0 &&
+         ::stat(boot_dir.c_str(), &b) == 0 && a.st_dev == b.st_dev &&
+         a.st_ino == b.st_ino;
+}
 
 std::string ErrorBody(const Status& status) {
   std::string body;
@@ -131,6 +160,11 @@ StatusOr<std::unique_ptr<Server>> Server::Start(
   std::unique_ptr<Server> server(new Server(config));
   server->generation_ = 1;
   server->boot_snapshot_path_ = snapshot_path;
+  // A recovered server-named generation is superseded by the next
+  // server-named compaction.
+  if (IsServerGeneration(base_path, snapshot_path)) {
+    server->server_generation_path_ = base_path;
+  }
   server->mutable_store_ =
       std::make_unique<storage::MutableStore>((*snapshot)->shared_store());
   snapshot->reset();  // the shared store keeps the mapping alive
@@ -284,9 +318,18 @@ StatusOr<uint64_t> Server::CompactWith(const std::string& path,
   // freeze inside CompactToSnapshot is the only synchronization they
   // see, and writes landing after it survive the rebase.
   std::lock_guard<std::mutex> admin(admin_mu_);
+  const bool server_named = path.empty();
   std::string target = path;
-  if (target.empty()) {
-    target = boot_snapshot_path_ + ".gen" + std::to_string(generation() + 1);
+  if (server_named) {
+    // Never overwrite an existing file. Generation numbers restart
+    // with the process, so the name may be the base the WAL still
+    // names (rewriting it and crashing before the rotation would
+    // replay already-folded ops over it a second time), a generation
+    // kept after a failed rotation, or a client's file.
+    uint64_t n = generation() + 1;
+    do {
+      target = boot_snapshot_path_ + ".gen" + std::to_string(n++);
+    } while (::access(target.c_str(), F_OK) == 0);
   }
   uint64_t frozen_seq = 0;
   STANDOFF_RETURN_IF_ERROR(
@@ -298,15 +341,26 @@ StatusOr<uint64_t> Server::CompactWith(const std::string& path,
   snapshot->reset();
 
   uint64_t generation = 0;
+  Status rotated;
   {
     std::lock_guard<std::mutex> lock(state_mu_);
     generation = ++generation_;
     // SaveSnapshot's atomic rename already landed, so recording
     // `target` in the rotated WAL segment is safe: a crash from here
     // on recovers the compacted base + the seq > frozen_seq tail.
-    mutable_store_->AdoptCompacted(frozen_seq, std::move(fresh), target);
+    rotated = mutable_store_->AdoptCompacted(frozen_seq, std::move(fresh),
+                                             target);
   }
   swaps_.fetch_add(1, std::memory_order_relaxed);
+  if (server_named) {
+    // The superseded generation is unreferenced once the WAL names
+    // `target` (or there is no WAL). It is never the boot snapshot nor
+    // a client-named file, and never `target`, a fresh name.
+    if (rotated.ok() && !server_generation_path_.empty()) {
+      ::unlink(server_generation_path_.c_str());
+    }
+    server_generation_path_ = target;
+  }
   *compacted_seq = frozen_seq;
   return generation;
 }

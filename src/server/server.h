@@ -159,8 +159,14 @@ class Server {
   /// server-chosen "<boot path>.gen<N>" sibling), reopens it, and
   /// publishes it as the next generation through the same hot-swap
   /// path; pending deltas are rebased, keeping exactly the writes
-  /// issued after the freeze. Returns the new generation and, via
-  /// *compacted_seq, the frozen sequence number.
+  /// issued after the freeze. A server-named compaction never
+  /// overwrites an existing file, and deletes the server-named
+  /// generation it supersedes unless the WAL rotation failed (the
+  /// log's newest segment may still name it). The boot snapshot and
+  /// client-named paths are never deleted; "<boot path>.gen<digits>"
+  /// names are the server's, so a WAL base so named counts as
+  /// server-named after a restart. Returns the new generation
+  /// and, via *compacted_seq, the frozen sequence number.
   StatusOr<uint64_t> Compact(const std::string& path,
                              uint64_t* compacted_seq);
 
@@ -199,6 +205,11 @@ class Server {
   const ServerConfig config_;
   uint16_t port_ = 0;
   std::string boot_snapshot_path_;
+  /// The newest "<boot path>.gen<N>" file a server-named compaction
+  /// wrote (or WAL recovery booted from); empty when there is none.
+  /// The next server-named compaction deletes it once the WAL no
+  /// longer names it. Guarded by admin_mu_.
+  std::string server_generation_path_;
   // Atomic: Stop() retires the fd concurrently with AcceptLoop's reads.
   std::atomic<int> listen_fd_{-1};
 

@@ -734,24 +734,6 @@ Status BasicStandoffJoinColumns(StandoffOp op,
   return Status::OK();
 }
 
-Status BasicStandoffJoin(StandoffOp op,
-                         const std::vector<AreaAnnotation>& context,
-                         const std::vector<RegionEntry>& candidates,
-                         const RegionIndex& index,
-                         storage::Span<storage::Pre> candidate_ids,
-                         std::vector<storage::Pre>* out) {
-  const std::vector<IterRegion> rows = detail::SingleIterationRows(context);
-  const std::vector<uint32_t> ann_iters(context.size(), 0);
-  std::vector<IterMatch> matches;
-  STANDOFF_RETURN_IF_ERROR(LoopLiftedStandoffJoin(
-      op, rows, ann_iters, candidates, index, candidate_ids,
-      /*iter_count=*/1, &matches));
-  out->clear();
-  out->reserve(matches.size());
-  for (const IterMatch& m : matches) out->push_back(m.pre);
-  return Status::OK();
-}
-
 Status LoopLiftedStandoffJoinColumns(
     StandoffOp op, const std::vector<IterRegion>& context,
     const std::vector<uint32_t>& ann_iters, RegionColumns cand,
@@ -863,31 +845,6 @@ Status LoopLiftedStandoffJoinColumns(
   ComplementFromKeys(ctx, keys, universe, iter_count, &arena->iter_present,
                      out);
   return Status::OK();
-}
-
-Status LoopLiftedStandoffJoin(StandoffOp op,
-                              const std::vector<IterRegion>& context,
-                              const std::vector<uint32_t>& ann_iters,
-                              const std::vector<RegionEntry>& candidates,
-                              const RegionIndex& index,
-                              storage::Span<storage::Pre> candidate_ids,
-                              uint32_t iter_count,
-                              std::vector<IterMatch>* out,
-                              JoinOptions options) {
-  if (&candidates == &index.entries()) {
-    return LoopLiftedStandoffJoinColumns(op, context, ann_iters,
-                                         index.columns(), candidate_ids,
-                                         iter_count, out, options);
-  }
-  // External AoS sequence: transpose into temporary columns. Append
-  // tracks start order, so an in-order vector skips re-verification and
-  // an out-of-order one is rejected by the columnar kernel.
-  RegionColumnsData cols;
-  cols.Reserve(candidates.size());
-  for (const RegionEntry& e : candidates) cols.Append(e.start, e.end, e.id);
-  return LoopLiftedStandoffJoinColumns(op, context, ann_iters, cols.View(),
-                                       candidate_ids, iter_count, out,
-                                       options);
 }
 
 }  // namespace so

@@ -1,14 +1,16 @@
 // The three StandOff join implementations the paper compares
 // (Sections 4.4–4.5):
 //
-//   NaiveStandoffJoin      — quadratic reference: every context region ×
-//                            every candidate annotation.
-//   BasicStandoffJoin      — one merge pass over sorted inputs per CALL;
-//                            a nested query invokes it once per loop
-//                            iteration, re-scanning the index each time.
-//   LoopLiftedStandoffJoin — one merge pass TOTAL: context regions carry
-//                            their loop iteration and the pass answers
-//                            every iteration at once (Figure 4).
+//   NaiveStandoffJoin             — quadratic reference: every context
+//                                   region × every candidate annotation.
+//   BasicStandoffJoinColumns      — one merge pass over sorted inputs per
+//                                   CALL; a nested query invokes it once
+//                                   per loop iteration, re-scanning the
+//                                   index each time.
+//   LoopLiftedStandoffJoinColumns — one merge pass TOTAL: context regions
+//                                   carry their loop iteration and the
+//                                   pass answers every iteration at once
+//                                   (Figure 4).
 //
 // All four operators are supported: select-narrow (candidates contained
 // in a context region of the same iteration), select-wide (candidates
@@ -20,9 +22,7 @@
 // and when the active list is empty it GALLOPS (exponential + binary
 // search over the start column) past every candidate that provably
 // cannot match — sparse and skewed workloads become output-bounded
-// instead of index-bounded. The AoS `std::vector<RegionEntry>`
-// overloads remain as shims for tests; they forward to the columnar
-// kernels.
+// instead of index-bounded.
 //
 // The loop-lifted kernel keeps an *active list* of context regions whose
 // end has not yet passed the merge cursor. Two interchangeable structures
@@ -164,13 +164,14 @@ class JoinArenaPool {
   std::vector<JoinArena*> free_;
 };
 
-/// Algorithm knobs of the merge kernels themselves — the bottom layer
-/// of the options scheme (DESIGN.md §15). Every higher-level options
-/// struct embeds exactly one of these (JoinOptions derives from it;
-/// EngineOptions carries a JoinOptions) and derives downward, so a
-/// kernel flag is stated once and flows through engine, planner and
-/// server without field-by-field copying.
-struct KernelOptions {
+/// Options of one join — the bottom layer of the options scheme
+/// (DESIGN.md §15): the algorithm knobs of the merge kernels plus the
+/// attachments (scratch, tracing, stats) that belong to a single
+/// invocation. Every higher-level options struct embeds exactly one of
+/// these (ParallelJoinOptions::join, EngineOptions::join) and derives
+/// downward, so a kernel flag is stated once and flows through engine,
+/// planner and server without field-by-field copying.
+struct JoinOptions {
   ActiveListKind active_list = ActiveListKind::kSortedList;
   bool prune_contained_contexts = true;
   /// Skip-based merging: gallop the candidate cursor over runs with no
@@ -185,13 +186,6 @@ struct KernelOptions {
   /// benchmarks compare against. Every level produces byte-identical
   /// output.
   simd::Level simd = simd::Level::kAuto;
-};
-
-/// Per-call options of one join: the kernel knobs plus the attachments
-/// (scratch, tracing, stats) that belong to a single invocation. The
-/// inheritance is the migration shim — `options.gallop`, `options.simd`
-/// etc. read the KernelOptions layer directly.
-struct JoinOptions : KernelOptions {
   /// Reusable scratch; null means per-call local buffers (allocates).
   JoinArena* arena = nullptr;
   TraceSink* trace = nullptr;    // non-null: emit per-step events (slow)
@@ -225,16 +219,6 @@ Status BasicStandoffJoinColumns(StandoffOp op,
                                 std::vector<storage::Pre>* out,
                                 JoinOptions options = JoinOptions());
 
-/// AoS shim over BasicStandoffJoinColumns, kept for tests. When
-/// `candidates` is `index.entries()` the index's own columns are used
-/// zero-copy; otherwise the vector is transposed into temporary columns.
-Status BasicStandoffJoin(StandoffOp op,
-                         const std::vector<AreaAnnotation>& context,
-                         const std::vector<RegionEntry>& candidates,
-                         const RegionIndex& index,
-                         storage::Span<storage::Pre> candidate_ids,
-                         std::vector<storage::Pre>* out);
-
 /// The loop-lifted kernel: answers all `iter_count` loop iterations in
 /// one merge pass over the candidate columns. `ann_iters[ann]` must give
 /// the iteration of context annotation `ann` (consistency-checked
@@ -246,25 +230,12 @@ Status LoopLiftedStandoffJoinColumns(
     storage::Span<storage::Pre> candidate_ids, uint32_t iter_count,
     std::vector<IterMatch>* out, JoinOptions options = JoinOptions());
 
-/// AoS shim over LoopLiftedStandoffJoinColumns, kept for tests; the
-/// `index.entries()` identity is detected and served zero-copy from the
-/// index's columns.
-Status LoopLiftedStandoffJoin(StandoffOp op,
-                              const std::vector<IterRegion>& context,
-                              const std::vector<uint32_t>& ann_iters,
-                              const std::vector<RegionEntry>& candidates,
-                              const RegionIndex& index,
-                              storage::Span<storage::Pre> candidate_ids,
-                              uint32_t iter_count,
-                              std::vector<IterMatch>* out,
-                              JoinOptions options = JoinOptions());
-
 // Pieces of the serial kernel the parallel variants reuse, so the two
 // paths cannot drift apart.
 namespace detail {
 
 /// Context annotations flattened to iteration-0 rows: the shared
-/// single-call form of BasicStandoffJoin and its parallel variant.
+/// single-call form of BasicStandoffJoinColumns and its parallel variant.
 std::vector<IterRegion> SingleIterationRows(
     const std::vector<AreaAnnotation>& context);
 

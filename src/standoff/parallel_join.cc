@@ -321,25 +321,6 @@ Status ParallelLoopLiftedStandoffJoinColumns(
   return Status::OK();
 }
 
-Status ParallelLoopLiftedStandoffJoin(
-    StandoffOp op, const std::vector<IterRegion>& context,
-    const std::vector<uint32_t>& ann_iters,
-    const std::vector<RegionEntry>& candidates, const RegionIndex& index,
-    storage::Span<storage::Pre> candidate_ids, uint32_t iter_count,
-    std::vector<IterMatch>* out, const ParallelJoinOptions& options) {
-  if (&candidates == &index.entries()) {
-    return ParallelLoopLiftedStandoffJoinColumns(
-        op, context, ann_iters, index.columns(), candidate_ids, iter_count,
-        out, options);
-  }
-  RegionColumnsData cols;
-  cols.Reserve(candidates.size());
-  for (const RegionEntry& e : candidates) cols.Append(e.start, e.end, e.id);
-  return ParallelLoopLiftedStandoffJoinColumns(
-      op, context, ann_iters, cols.View(), candidate_ids, iter_count, out,
-      options);
-}
-
 Status ParallelBasicStandoffJoinColumns(
     StandoffOp op, const std::vector<AreaAnnotation>& context,
     RegionColumns candidates, storage::Span<storage::Pre> candidate_ids,
@@ -361,27 +342,6 @@ Status ParallelBasicStandoffJoinColumns(
   out->reserve(matches.size());
   for (const IterMatch& m : matches) out->push_back(m.pre);
   return Status::OK();
-}
-
-Status ParallelBasicStandoffJoin(StandoffOp op,
-                                 const std::vector<AreaAnnotation>& context,
-                                 const std::vector<RegionEntry>& candidates,
-                                 const RegionIndex& index,
-                                 storage::Span<storage::Pre> candidate_ids,
-                                 std::vector<storage::Pre>* out,
-                                 ThreadPool* pool,
-                                 uint32_t candidate_shards) {
-  if (&candidates == &index.entries()) {
-    return ParallelBasicStandoffJoinColumns(op, context, index.columns(),
-                                            candidate_ids, out, pool,
-                                            candidate_shards);
-  }
-  RegionColumnsData cols;
-  cols.Reserve(candidates.size());
-  for (const RegionEntry& e : candidates) cols.Append(e.start, e.end, e.id);
-  return ParallelBasicStandoffJoinColumns(op, context, cols.View(),
-                                          candidate_ids, out, pool,
-                                          candidate_shards);
 }
 
 Status ParallelNaiveStandoffJoin(StandoffOp op,

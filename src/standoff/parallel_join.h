@@ -68,17 +68,7 @@ Status ParallelLoopLiftedStandoffJoinColumns(
     storage::Span<storage::Pre> candidate_ids, uint32_t iter_count,
     std::vector<IterMatch>* out, const ParallelJoinOptions& options);
 
-/// AoS shim over ParallelLoopLiftedStandoffJoinColumns, kept for tests;
-/// `index.entries()` is detected and served zero-copy from the index's
-/// columns.
-Status ParallelLoopLiftedStandoffJoin(
-    StandoffOp op, const std::vector<IterRegion>& context,
-    const std::vector<uint32_t>& ann_iters,
-    const std::vector<RegionEntry>& candidates, const RegionIndex& index,
-    storage::Span<storage::Pre> candidate_ids, uint32_t iter_count,
-    std::vector<IterMatch>* out, const ParallelJoinOptions& options);
-
-/// Parallel BasicStandoffJoin over candidate columns: the single merge
+/// Parallel BasicStandoffJoinColumns over candidate columns: the single merge
 /// pass split across candidate shards (there is only one iteration to
 /// split).
 Status ParallelBasicStandoffJoinColumns(
@@ -87,16 +77,6 @@ Status ParallelBasicStandoffJoinColumns(
     std::vector<storage::Pre>* out, ThreadPool* pool,
     uint32_t candidate_shards, JoinArenaPool* arenas = nullptr,
     JoinOptions join = JoinOptions());
-
-/// AoS shim over ParallelBasicStandoffJoinColumns, kept for tests.
-Status ParallelBasicStandoffJoin(StandoffOp op,
-                                 const std::vector<AreaAnnotation>& context,
-                                 const std::vector<RegionEntry>& candidates,
-                                 const RegionIndex& index,
-                                 storage::Span<storage::Pre> candidate_ids,
-                                 std::vector<storage::Pre>* out,
-                                 ThreadPool* pool,
-                                 uint32_t candidate_shards);
 
 /// Parallel NaiveStandoffJoin: the quadratic reference with the
 /// candidate list split across tasks. Annotations are judged

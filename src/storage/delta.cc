@@ -343,9 +343,9 @@ Status MutableStore::CompactToSnapshot(const std::string& path,
   return Status::OK();
 }
 
-void MutableStore::AdoptCompacted(uint64_t compacted_seq,
-                                  std::shared_ptr<const ShardedStore> base,
-                                  const std::string& snapshot_path) {
+Status MutableStore::AdoptCompacted(uint64_t compacted_seq,
+                                    std::shared_ptr<const ShardedStore> base,
+                                    const std::string& snapshot_path) {
   std::lock_guard<std::mutex> lock(mu_);
   base_ = std::move(base);
   auto it = runs_.begin();
@@ -371,12 +371,11 @@ void MutableStore::AdoptCompacted(uint64_t compacted_seq,
   ++compactions_;
   RecountLiveLocked();
   auto_compact_inflight_ = false;
-  if (wal_ != nullptr && !snapshot_path.empty()) {
-    // The caller vouches the snapshot's atomic rename landed; rotation
-    // failure just latches the Wal (read-only), never loses state.
-    (void)wal_->Rotate(compacted_seq, snapshot_path);
-  }
   InvalidateViewLocked();
+  if (wal_ == nullptr || snapshot_path.empty()) return Status::OK();
+  // The caller vouches the snapshot's atomic rename landed; rotation
+  // failure just latches the Wal (read-only), never loses state.
+  return wal_->Rotate(compacted_seq, snapshot_path);
 }
 
 void MutableStore::ResetBase(std::shared_ptr<const ShardedStore> base,

@@ -229,10 +229,13 @@ class MutableStore {
   /// segment recording that base and retires segments whose records
   /// are all <= compacted_seq. An empty path skips rotation, which is
   /// always safe: replaying the full log over the boot snapshot
-  /// reproduces the same state, compaction being transparent.
-  void AdoptCompacted(uint64_t compacted_seq,
-                      std::shared_ptr<const ShardedStore> base,
-                      const std::string& snapshot_path = "");
+  /// reproduces the same state, compaction being transparent. Returns
+  /// the rotation's status: the new base is adopted either way, but a
+  /// failed rotation latches the Wal (read-only) and leaves its newest
+  /// segment naming the PREVIOUS base file, which must then stay.
+  Status AdoptCompacted(uint64_t compacted_seq,
+                        std::shared_ptr<const ShardedStore> base,
+                        const std::string& snapshot_path = "");
 
   /// Replaces the base with an unrelated snapshot (the server's manual
   /// hot-swap) and DROPS every pending delta — delta ids reference the

@@ -337,24 +337,14 @@ ThreadPool* Engine::ExecPool() {
   return pool_.get();
 }
 
-so::JoinArenaPool* Engine::Arenas() {
-  return options_.exec.reuse_scratch ? &arena_pool_ : nullptr;
-}
-
 so::ParallelJoinOptions Engine::DeriveParallel() {
   so::ParallelJoinOptions parallel;
   parallel.pool = ExecPool();
   parallel.iter_blocks = options_.exec.num_threads;
   parallel.candidate_shards = options_.exec.shard_count;
-  parallel.arenas = Arenas();
+  parallel.arenas = &arena_pool_;
   parallel.join = options_.join;
   return parallel;
-}
-
-so::ChainExecOptions Engine::DeriveChainExec() {
-  so::ChainExecOptions exec;
-  exec.parallel = DeriveParallel();
-  return exec;
 }
 
 StatusOr<const so::RegionIndex*> Engine::GetIndex(storage::DocId doc) {
@@ -530,7 +520,7 @@ StatusOr<ChainResult> Engine::EvaluateChain(const ChainQuery& query) {
   }
 
   result.plan = so::PlanChain(spec, options_.plan_mode);
-  so::ChainExecOptions exec = DeriveChainExec();
+  so::ParallelJoinOptions exec = DeriveParallel();
   const std::function<Status()> checkpoint = [this] {
     return CheckDeadline();
   };
@@ -565,25 +555,6 @@ StatusOr<ChainResult> Engine::EvaluateChain(const ChainQuery& query) {
 
 namespace {
 
-/// Matched nodes back to context rows (the plan layer's
-/// MatchesToContext, replicated over the engine's region index):
-/// matches arrive sorted by (iter, pre), so the rows come out sorted by
-/// iteration as the kernels require.
-void DeriveContext(const std::vector<so::IterMatch>& matches,
-                   const so::RegionIndex& index,
-                   std::vector<so::IterRegion>* ctx,
-                   std::vector<uint32_t>* ann_iters) {
-  ctx->clear();
-  ann_iters->clear();
-  for (const so::IterMatch& m : matches) {
-    index.ForEachRegionOf(m.pre, [&](int64_t start, int64_t end) {
-      const uint32_t ann = static_cast<uint32_t>(ann_iters->size());
-      ann_iters->push_back(m.iter);
-      ctx->push_back(so::IterRegion{m.iter, start, end, ann});
-    });
-  }
-}
-
 storage::RegionStats ContextStats(const std::vector<so::IterRegion>& ctx) {
   std::vector<int64_t> starts, ends;
   starts.reserve(ctx.size());
@@ -601,7 +572,7 @@ storage::RegionStats ContextStats(const std::vector<so::IterRegion>& ctx) {
 Status Engine::EvaluateChainShared(const so::ChainSpec& spec,
                                    const so::RegionIndex& index,
                                    const std::vector<std::string>& keys,
-                                   const so::ChainExecOptions& exec,
+                                   const so::ParallelJoinOptions& exec,
                                    ChainResult* result) {
   if (!subplan_memo_) {
     subplan_memo_ =
@@ -640,7 +611,7 @@ Status Engine::EvaluateChainShared(const so::ChainSpec& spec,
       suffix.ann_iters = spec.ann_iters;
       suffix.context_stats = spec.context_stats;
     } else {
-      DeriveContext(matches, index, &ctx_buf, &iter_buf);
+      so::MatchesToContext(matches, index, &ctx_buf, &iter_buf);
       suffix.context = std::move(ctx_buf);
       suffix.ann_iters = std::move(iter_buf);
       suffix.context_stats = ContextStats(suffix.context);
@@ -649,14 +620,12 @@ Status Engine::EvaluateChainShared(const so::ChainSpec& spec,
     const so::ChainPlan suffix_plan =
         so::PlanChain(suffix, options_.plan_mode);
 
-    so::ChainExecOptions suffix_exec = exec;
-    suffix_exec.memo = memo;
     if (suffix_plan.order == so::ChainOrder::kBottomUpLast) {
       // Bottom-up never materializes the intermediate prefixes, so
       // only the full chain's result can be memoized.
       so::ChainStats stats;
       STANDOFF_RETURN_IF_ERROR(
-          so::ExecuteChain(suffix, suffix_plan, suffix_exec, &matches, &stats));
+          so::ExecuteChain(suffix, suffix_plan, exec, &matches, &stats));
       total.joins_run += stats.joins_run;
       total.context_rows_total += stats.context_rows_total;
       total.bottom_up_kept_rows += stats.bottom_up_kept_rows;
@@ -677,14 +646,14 @@ Status Engine::EvaluateChainShared(const so::ChainSpec& spec,
           one.context = std::move(suffix.context);
           one.ann_iters = std::move(suffix.ann_iters);
         } else {
-          DeriveContext(matches, index, &one.context, &one.ann_iters);
+          so::MatchesToContext(matches, index, &one.context, &one.ann_iters);
           one.context_stats = ContextStats(one.context);
         }
         one.edges.push_back(spec.edges[e]);
         const so::ChainPlan one_plan = so::PlanChain(one, so::PlanMode::kTopDown);
         so::ChainStats stats;
         STANDOFF_RETURN_IF_ERROR(
-            so::ExecuteChain(one, one_plan, suffix_exec, &matches, &stats));
+            so::ExecuteChain(one, one_plan, exec, &matches, &stats));
         total.joins_run += stats.joins_run;
         total.context_rows_total += stats.context_rows_total;
         auto entry = std::make_shared<so::SubPlanMemo::Entry>();
@@ -914,10 +883,10 @@ Status Engine::StandoffBasicPerIteration(
     std::vector<so::IterMatch>* matches) {
   StatusOr<const so::RegionIndex*> index = GetIndex(doc);
   if (!index.ok()) return index.status();
-  // One BasicStandoffJoin call per loop iteration, each re-scanning the
-  // full region index; the name test filters afterwards (no pushdown).
-  // With a pool, iterations fan out across it; a lone iteration instead
-  // splits its merge pass across candidate shards.
+  // One BasicStandoffJoinColumns call per loop iteration, each
+  // re-scanning the full region index; the name test filters afterwards
+  // (no pushdown). With a pool, iterations fan out across it; a lone
+  // iteration instead splits its merge pass across candidate shards.
   ThreadPool* pool = ExecPool();
   return RunIterationGroups(
       pool, context,
@@ -934,7 +903,7 @@ Status Engine::StandoffBasicPerIteration(
         STANDOFF_RETURN_IF_ERROR(so::ParallelBasicStandoffJoinColumns(
             op, iter_context, (*index)->columns(),
             (*index)->annotated_ids(), &pres, fanout > 1 ? pool : nullptr,
-            fanout, Arenas(), join));
+            fanout, &arena_pool_, join));
         for (storage::Pre pre : pres) {
           if (NameMatches(step, doc, pre)) {
             out->push_back(so::IterMatch{iter, pre});

@@ -60,18 +60,13 @@ const char* StandoffModeName(StandoffMode mode);
 struct ExecOptions {
   uint32_t num_threads = 1;  // total threads incl. the caller; 1 = serial
   uint32_t shard_count = 1;  // candidate shards per parallel join
-  /// Reuse the engine-owned merge-scratch arenas across queries (the
-  /// allocation-free steady state). Off = every join call uses local
-  /// buffers; only useful for memory diagnostics.
-  bool reuse_scratch = true;
 };
 
 /// The engine layer of the options scheme (DESIGN.md §15): wraps the
-/// kernel-level so::JoinOptions (which itself extends so::KernelOptions)
-/// with execution-shape and planner knobs. There is ONE derivation path
-/// downward — Engine::DeriveParallel / DeriveChainExec — so a kernel
-/// flag set here reaches every join without field-by-field copying.
-/// The SIMD dispatch level lives in `join.simd` (so::KernelOptions);
+/// kernel-level so::JoinOptions with execution-shape and planner knobs.
+/// There is ONE derivation path downward — Engine::DeriveParallel — so
+/// a kernel flag set here reaches every join, chained or not, without
+/// field-by-field copying. The SIMD dispatch level lives in `join.simd`;
 /// the differential sweeps set it there directly.
 struct EngineOptions {
   /// Per-Evaluate wall-clock budget in seconds; <= 0 means unlimited.
@@ -224,7 +219,7 @@ class Engine {
   Status EvaluateChainShared(const so::ChainSpec& spec,
                              const so::RegionIndex& index,
                              const std::vector<std::string>& keys,
-                             const so::ChainExecOptions& exec,
+                             const so::ParallelJoinOptions& exec,
                              ChainResult* result);
 
   /// The worker pool backing ExecOptions::num_threads, created lazily
@@ -232,17 +227,11 @@ class Engine {
   /// serial.
   ThreadPool* ExecPool();
 
-  /// The engine-owned merge-scratch arenas (ExecOptions::reuse_scratch):
-  /// serial joins and every parallel (block, shard) cell borrow from
-  /// here, so a warmed engine runs its merge passes allocation-free.
-  so::JoinArenaPool* Arenas();
-
   /// The single downward derivation of the options scheme: expands
   /// EngineOptions into the parallel-join decomposition (pool, blocks,
-  /// shards, arenas, kernel knobs) every join call consumes. Chain
-  /// execution wraps the same derivation in a ChainExecOptions.
+  /// shards, arenas, kernel knobs) every join call — and ExecuteChain —
+  /// consumes.
   so::ParallelJoinOptions DeriveParallel();
-  so::ChainExecOptions DeriveChainExec();
 
   const storage::StoreView* store_;
   StandoffMode mode_ = StandoffMode::kLoopLifted;
@@ -253,6 +242,9 @@ class Engine {
       candidate_cache_;
   std::unique_ptr<ThreadPool> pool_;
   size_t pool_workers_ = 0;
+  /// Merge-scratch arenas: serial joins and every parallel (block,
+  /// shard) cell borrow from here, so a warmed engine runs its merge
+  /// passes allocation-free.
   so::JoinArenaPool arena_pool_;
   std::map<storage::DocId, storage::RegionStats> index_stats_cache_;
   std::unique_ptr<so::SubPlanMemo> subplan_memo_;

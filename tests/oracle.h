@@ -12,8 +12,38 @@
 #include <vector>
 
 #include "standoff/merge_join.h"
+#include "standoff/region_index.h"
 
 namespace test {
+
+/// The rows of a columnar view, in view order, as array-of-structs
+/// entries: what the oracle scans and what row-by-row comparisons of
+/// two indexes read.
+inline std::vector<standoff::so::RegionEntry> Rows(
+    standoff::so::RegionColumns view) {
+  std::vector<standoff::so::RegionEntry> out(view.size);
+  for (size_t i = 0; i < view.size; ++i) out[i] = view.row(i);
+  return out;
+}
+
+inline std::vector<standoff::so::RegionEntry> Rows(
+    const standoff::so::RegionIndex& index) {
+  return Rows(index.columns());
+}
+
+/// The inverse: `entries` appended in the given order into owned
+/// columns. The view promises start_sorted only when the starts happen
+/// to be non-decreasing, so an unsorted vector reaches the kernels as
+/// an unsorted view.
+inline standoff::so::RegionColumnsData Columns(
+    const std::vector<standoff::so::RegionEntry>& entries) {
+  standoff::so::RegionColumnsData cols;
+  cols.Reserve(entries.size());
+  for (const standoff::so::RegionEntry& e : entries) {
+    cols.Append(e.start, e.end, e.id);
+  }
+  return cols;
+}
 
 /// All (iter, pre) matches of `op`, sorted by (iter, pre) and
 /// duplicate-free — the kernels' canonical output order. `universe` is

@@ -78,7 +78,7 @@ Workload MakeWorkload(uint64_t seed) {
         RegionEntry{start, start + width, static_cast<Pre>(i + 2)});
   }
   w.index = so::RegionIndex::FromEntries(std::move(entries));
-  for (const RegionEntry& e : w.index.entries()) {
+  for (const RegionEntry& e : test::Rows(w.index)) {
     w.candidate_annotations.push_back(
         so::AreaAnnotation{e.id, {{e.start, e.end}}});
   }
@@ -120,8 +120,8 @@ std::vector<IterMatch> AssemblePerIteration(
                                              w.candidate_annotations, &pres,
                                              pool, shards));
     } else {
-      CHECK_OK(so::ParallelBasicStandoffJoin(
-          op, annotations, w.index.entries(), w.index,
+      CHECK_OK(so::ParallelBasicStandoffJoinColumns(
+          op, annotations, w.index.columns(),
           w.index.annotated_ids(), &pres, pool, shards));
     }
     for (Pre pre : pres) out.push_back(IterMatch{iter, pre});
@@ -143,7 +143,7 @@ static void TestDifferential() {
     const Workload w = MakeWorkload(seed);
     for (so::StandoffOp op : kOps) {
       const std::vector<IterMatch> oracle = test::OracleStandoffJoin(
-          op, w.context, w.index.entries(), w.index.annotated_ids(),
+          op, w.context, test::Rows(w.index), w.index.annotated_ids(),
           w.iter_count);
 
       // Serial loop-lifted kernel: both active structures, with and
@@ -161,8 +161,8 @@ static void TestDifferential() {
             join.simd = level;
             join.arena = &arena;
             std::vector<IterMatch> lifted;
-            CHECK_OK(so::LoopLiftedStandoffJoin(
-                op, w.context, w.ann_iters, w.index.entries(), w.index,
+            CHECK_OK(so::LoopLiftedStandoffJoinColumns(
+                op, w.context, w.ann_iters, w.index.columns(),
                 w.index.annotated_ids(), w.iter_count, &lifted, join));
             CHECK(lifted == oracle);
             ++comparisons;
@@ -188,8 +188,8 @@ static void TestDifferential() {
           // supported tier runs under parallel decomposition too.
           options.join.simd = levels[(threads + shards) % levels.size()];
           std::vector<IterMatch> lifted;
-          CHECK_OK(so::ParallelLoopLiftedStandoffJoin(
-              op, w.context, w.ann_iters, w.index.entries(), w.index,
+          CHECK_OK(so::ParallelLoopLiftedStandoffJoinColumns(
+              op, w.context, w.ann_iters, w.index.columns(),
               w.index.annotated_ids(), w.iter_count, &lifted, options));
           if (!(lifted == oracle)) {
             std::fprintf(stderr,

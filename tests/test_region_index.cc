@@ -3,6 +3,7 @@
 #include "common/rng.h"
 #include "standoff/region_index.h"
 #include "tests/harness.h"
+#include "tests/oracle.h"
 
 using namespace standoff;
 using so::RegionEntry;
@@ -29,10 +30,11 @@ static void TestFromEntriesSorts() {
       {50, 60, 4}, {10, 20, 2}, {10, 15, 3}, {10, 15, 7}};
   so::RegionIndex index = so::RegionIndex::FromEntries(entries);
   CHECK_EQ(index.size(), 4u);
-  CHECK(index.entries()[0] == (RegionEntry{10, 15, 3}));
-  CHECK(index.entries()[1] == (RegionEntry{10, 15, 7}));
-  CHECK(index.entries()[2] == (RegionEntry{10, 20, 2}));
-  CHECK(index.entries()[3] == (RegionEntry{50, 60, 4}));
+  const std::vector<RegionEntry> rows = test::Rows(index);
+  CHECK(rows[0] == (RegionEntry{10, 15, 3}));
+  CHECK(rows[1] == (RegionEntry{10, 15, 7}));
+  CHECK(rows[2] == (RegionEntry{10, 20, 2}));
+  CHECK(rows[3] == (RegionEntry{50, 60, 4}));
   // annotated_ids sorted by id, not by start.
   const storage::Span<Pre> ids = index.annotated_ids();
   CHECK_EQ(ids.size(), 4u);
@@ -52,11 +54,12 @@ static void TestBuildFromTable() {
   // Timecodes parse to seconds and sort by start:
   // Intro[0,8](pre3), U2[0,31](pre7), Interview[8,64](pre4),
   // Bach[52,94](pre8), Outro[64,94](pre5).
-  CHECK(index->entries()[0] == (RegionEntry{0, 8, 3}));
-  CHECK(index->entries()[1] == (RegionEntry{0, 31, 7}));
-  CHECK(index->entries()[2] == (RegionEntry{8, 64, 4}));
-  CHECK(index->entries()[3] == (RegionEntry{52, 94, 8}));
-  CHECK(index->entries()[4] == (RegionEntry{64, 94, 5}));
+  const std::vector<RegionEntry> rows = test::Rows(*index);
+  CHECK(rows[0] == (RegionEntry{0, 8, 3}));
+  CHECK(rows[1] == (RegionEntry{0, 31, 7}));
+  CHECK(rows[2] == (RegionEntry{8, 64, 4}));
+  CHECK(rows[3] == (RegionEntry{52, 94, 8}));
+  CHECK(rows[4] == (RegionEntry{64, 94, 5}));
 
   int64_t start, end;
   CHECK(index->RegionOf(7, &start, &end));
@@ -73,29 +76,32 @@ static void TestIntersect() {
   }
   so::RegionIndex index = so::RegionIndex::FromEntries(entries);
   std::vector<Pre> wanted{3, 7, 11, 99};
-  std::vector<RegionEntry> got = index.Intersect(wanted);
+  const std::vector<RegionEntry> got =
+      test::Rows(index.IntersectColumns(wanted).View());
   CHECK_EQ(got.size(), 3u);
   CHECK_EQ(got[0].id, 3u);
   CHECK_EQ(got[1].id, 7u);
   CHECK_EQ(got[2].id, 11u);
-  CHECK(index.Intersect({}).empty());
+  CHECK_EQ(index.IntersectColumns({}).size(), 0u);
 }
 
-static void TestColumnsMirrorEntries() {
+static void TestColumnsView() {
   std::vector<RegionEntry> entries{
       {50, 60, 4}, {10, 20, 2}, {10, 15, 3}, {10, 15, 7}};
   so::RegionIndex index = so::RegionIndex::FromEntries(entries);
+  const std::vector<RegionEntry> sorted{
+      {10, 15, 3}, {10, 15, 7}, {10, 20, 2}, {50, 60, 4}};
   const so::RegionColumns cols = index.columns();
-  CHECK_EQ(cols.size, index.entries().size());
+  CHECK_EQ(cols.size, sorted.size());
   CHECK(cols.start_sorted);
   for (size_t i = 0; i < cols.size; ++i) {
-    CHECK(cols.row(i) == index.entries()[i]);
+    CHECK(cols.row(i) == sorted[i]);
   }
   // Slices keep the columnar promise and the row content.
   const so::RegionColumns slice = cols.Slice(1, 3);
   CHECK_EQ(slice.size, 2u);
   CHECK(slice.start_sorted);
-  CHECK(slice.row(0) == index.entries()[1]);
+  CHECK(slice.row(0) == sorted[1]);
   // An empty index yields a valid empty view.
   so::RegionIndex empty;
   CHECK_EQ(empty.columns().size, 0u);
@@ -125,9 +131,9 @@ static void TestIntersectAdaptivePathsAgree() {
 
   for (const std::vector<Pre>& ids : {sparse, dense}) {
     const so::RegionColumnsData cols = index.IntersectColumns(ids);
-    // Reference: the definitional filter over the AoS shim.
+    // Reference: the definitional filter over the index rows.
     std::vector<RegionEntry> expect;
-    for (const RegionEntry& e : index.entries()) {
+    for (const RegionEntry& e : test::Rows(index)) {
       if (std::binary_search(ids.begin(), ids.end(), e.id)) {
         expect.push_back(e);
       }
@@ -188,7 +194,7 @@ int main() {
   RUN_TEST(TestFromEntriesSorts);
   RUN_TEST(TestBuildFromTable);
   RUN_TEST(TestIntersect);
-  RUN_TEST(TestColumnsMirrorEntries);
+  RUN_TEST(TestColumnsView);
   RUN_TEST(TestIntersectAdaptivePathsAgree);
   RUN_TEST(TestMissingConfigAttrs);
   RUN_TEST(TestBadRegionValues);

@@ -23,6 +23,7 @@
 #include "storage/wal.h"
 #include "tests/fault_io.h"
 #include "tests/harness.h"
+#include "tests/oracle.h"
 #include "xquery/engine.h"
 
 using namespace standoff;
@@ -38,6 +39,10 @@ std::string TempPath(const char* name) {
 std::string TempWalDir(const char* name) {
   return std::string("/tmp/standoff_test_") + name + "_" +
          std::to_string(::getpid()) + ".waldir";
+}
+
+bool Exists(const std::string& path) {
+  return ::access(path.c_str(), F_OK) == 0;
 }
 
 void RemoveTree(const std::string& dir) {
@@ -101,6 +106,25 @@ struct WriteFixture {
   std::string path;
   std::unique_ptr<server::Server> srv;
 };
+
+/// The server's live (base ⊎ delta) region rows of doc 0.
+std::vector<so::RegionEntry> LiveRows(server::Server* srv) {
+  auto view = srv->mutable_store()->View();
+  so::RegionIndexCache cache;
+  auto index = cache.Get(*view, 0, so::StandoffConfig{});
+  CHECK_OK(index);
+  return index.ok() ? test::Rows(**index) : std::vector<so::RegionEntry>{};
+}
+
+/// Stops `fx`'s server and boots a fresh one on the same boot snapshot
+/// and configuration (WAL recovery included).
+void Restart(WriteFixture* fx, const server::ServerConfig& config) {
+  fx->srv->Stop();
+  fx->srv.reset();
+  auto restarted = server::Server::Start(fx->path, config);
+  CHECK_OK(restarted);
+  if (restarted.ok()) fx->srv = restarted.MoveValueUnsafe();
+}
 
 /// Decodes a query payload into (context_ids, matches).
 void DecodePayload(const std::string& payload,
@@ -256,6 +280,219 @@ static void TestServerChosenCompactionPath() {
   CHECK_OK(stats);
   CHECK_EQ(stats->compactions, uint64_t{1});
   std::remove((fx.path + ".gen2").c_str());
+}
+
+// A server-named compaction deletes the server-named generation it
+// supersedes; the boot snapshot and a client-named file always stay.
+static void TestCompactionDeletesSupersededGenerations() {
+  WriteFixture fx("write_gengc");
+  const std::string client_path = TempPath("write_gengc_client");
+  auto client = fx.Connect();
+  CHECK_OK(client->InsertRegion(0, kBareWord1, 140, 160));
+  CHECK_OK(client->Compact());
+  CHECK(Exists(fx.path + ".gen2"));
+  CHECK_OK(client->InsertRegion(0, kBareWord2, 540, 560));
+  CHECK_OK(client->Compact());
+  CHECK(!Exists(fx.path + ".gen2"));
+  CHECK(Exists(fx.path + ".gen3"));
+  CHECK(Exists(fx.path));
+
+  CHECK_OK(client->Compact(client_path));  // generation 4, client-named
+  CHECK_OK(client->Compact());             // generation 5
+  CHECK(!Exists(fx.path + ".gen3"));
+  CHECK(Exists(fx.path + ".gen5"));
+  CHECK(Exists(client_path));
+  CHECK(Exists(fx.path));
+  const char* both_xml =
+      "<play>"
+      "<scene start=\"0\" end=\"999\"/>"
+      "<speech start=\"100\" end=\"400\"/>"
+      "<word start=\"110\" end=\"130\"/>"
+      "<word start=\"140\" end=\"160\"/>"
+      "<speech start=\"500\" end=\"800\"/>"
+      "<word start=\"510\" end=\"530\"/>"
+      "<word start=\"540\" end=\"560\"/>"
+      "</play>";
+  ExpectQueryMatches(client.get(), both_xml);
+  std::remove(client_path.c_str());
+  std::remove((fx.path + ".gen5").c_str());
+}
+
+// With a WAL: after two compactions only the boot snapshot and the
+// newest generation are on disk, and restarts recover the live state
+// row for row. Generation numbers restart with the process; a
+// post-restart compaction must still leave exactly one generation.
+static void TestGenerationCleanupAcrossRestarts() {
+  const std::string wal_dir = TempWalDir("write_gengc_wal");
+  RemoveTree(wal_dir);
+  server::ServerConfig config;
+  config.wal_dir = wal_dir;
+  WriteFixture fx("write_gengc_wal", config);
+  {
+    auto client = fx.Connect();
+    CHECK_OK(client->InsertRegion(0, kBareWord1, 140, 160));
+    CHECK_OK(client->Compact());
+    CHECK_OK(client->InsertRegion(0, kBareWord2, 540, 560));
+    CHECK_OK(client->Compact());
+    CHECK_OK(client->DeleteRegions(0, kWord2));  // lives only in the WAL
+  }
+  CHECK(Exists(fx.path));
+  CHECK(!Exists(fx.path + ".gen2"));
+  CHECK(Exists(fx.path + ".gen3"));
+  const std::vector<so::RegionEntry> live = LiveRows(fx.srv.get());
+
+  Restart(&fx, config);  // recovers gen3 + the delete
+  if (!fx.srv) return;
+  CHECK(LiveRows(fx.srv.get()) == live);
+  {
+    auto client = fx.Connect();
+    auto stats = client->Stats();
+    CHECK_OK(stats);
+    if (stats.ok()) CHECK_EQ(stats->wal_replayed_ops, uint64_t{1});
+    const char* recovered_xml =
+        "<play>"
+        "<scene start=\"0\" end=\"999\"/>"
+        "<speech start=\"100\" end=\"400\"/>"
+        "<word start=\"110\" end=\"130\"/>"
+        "<word start=\"140\" end=\"160\"/>"
+        "<speech start=\"500\" end=\"800\"/>"
+        "<word/>"
+        "<word start=\"540\" end=\"560\"/>"
+        "</play>";
+    ExpectQueryMatches(client.get(), recovered_xml);
+    auto compacted = client->Compact();
+    CHECK_OK(compacted);
+    if (compacted.ok()) CHECK_EQ(compacted->generation, uint64_t{2});
+  }
+  CHECK(Exists(fx.path + ".gen2"));
+  CHECK(!Exists(fx.path + ".gen3"));
+
+  Restart(&fx, config);  // recovers gen2
+  if (!fx.srv) return;
+  CHECK(LiveRows(fx.srv.get()) == live);
+  {
+    auto client = fx.Connect();
+    CHECK_OK(client->Compact());  // must not rewrite gen2, the WAL's base
+  }
+  CHECK(!Exists(fx.path + ".gen2"));
+  CHECK(Exists(fx.path + ".gen3"));
+  CHECK(Exists(fx.path));
+
+  Restart(&fx, config);
+  if (!fx.srv) return;
+  CHECK(LiveRows(fx.srv.get()) == live);
+  std::remove((fx.path + ".gen3").c_str());
+  RemoveTree(wal_dir);
+}
+
+// When the WAL rotation after a compaction fails, the log's newest
+// segment still names the previous generation: that file must stay
+// untouched — neither deleted nor rewritten, although a restart has
+// reset the generation numbers — and a restart recovers from it.
+static void TestFailedRotationKeepsOldGeneration() {
+  const std::string wal_dir = TempWalDir("write_gengc_fail");
+  RemoveTree(wal_dir);
+  faultio::FaultFileIo fault;  // outlives the fixture below
+  server::ServerConfig config;
+  config.wal_dir = wal_dir;
+  config.wal_io = &fault;
+  WriteFixture fx("write_gengc_fail", config);
+  {
+    auto client = fx.Connect();
+    CHECK_OK(client->InsertRegion(0, kBareWord1, 140, 160));
+    CHECK_OK(client->Compact());
+    CHECK_OK(client->InsertRegion(0, kBareWord2, 540, 560));
+  }
+  Restart(&fx, config);  // recovers gen2 + the second insert
+  if (!fx.srv) return;
+  const std::vector<so::RegionEntry> live = LiveRows(fx.srv.get());
+  {
+    auto client = fx.Connect();
+    fault.set_fail_syncs_after(fault.syncs());  // the rotation fails
+    CHECK_OK(client->Compact());
+  }
+  CHECK(Exists(fx.path + ".gen2"));
+  CHECK(Exists(fx.path + ".gen3"));
+  CHECK(LiveRows(fx.srv.get()) == live);
+
+  fault.set_fail_syncs_after(-1);
+  Restart(&fx, config);  // the log still names gen2
+  if (!fx.srv) return;
+  CHECK(LiveRows(fx.srv.get()) == live);
+  std::remove((fx.path + ".gen2").c_str());
+  std::remove((fx.path + ".gen3").c_str());
+  RemoveTree(wal_dir);
+}
+
+// Only "<boot>.gen<digits>" is a server-named generation: a recovered
+// client-named base that merely starts with "<boot>.gen" survives the
+// next server-named compaction.
+static void TestClientNamedGenLikeBaseSurvives() {
+  const std::string wal_dir = TempWalDir("write_gengc_client_base");
+  RemoveTree(wal_dir);
+  server::ServerConfig config;
+  config.wal_dir = wal_dir;
+  WriteFixture fx("write_gengc_client_base", config);
+  const std::string client_path = fx.path + ".gen-x";
+  {
+    auto client = fx.Connect();
+    CHECK_OK(client->InsertRegion(0, kBareWord1, 140, 160));
+    CHECK_OK(client->Compact(client_path));
+    CHECK_OK(client->InsertRegion(0, kBareWord2, 540, 560));
+  }
+  const std::vector<so::RegionEntry> live = LiveRows(fx.srv.get());
+  Restart(&fx, config);  // recovers the client's base + the insert
+  if (!fx.srv) return;
+  CHECK(LiveRows(fx.srv.get()) == live);
+  {
+    auto client = fx.Connect();
+    CHECK_OK(client->Compact());
+  }
+  CHECK(Exists(client_path));
+  CHECK(Exists(fx.path + ".gen2"));
+  Restart(&fx, config);
+  if (!fx.srv) return;
+  CHECK(LiveRows(fx.srv.get()) == live);
+  std::remove(client_path.c_str());
+  std::remove((fx.path + ".gen2").c_str());
+  RemoveTree(wal_dir);
+}
+
+// A restart that spells the boot snapshot's path differently still
+// recognises the recovered generation: the next compaction neither
+// rewrites it (the WAL names it) nor leaves it behind once the WAL
+// names the new one.
+static void TestRespelledBootPathKeepsGenerationRules() {
+  const std::string wal_dir = TempWalDir("write_gengc_respelled");
+  RemoveTree(wal_dir);
+  server::ServerConfig config;
+  config.wal_dir = wal_dir;
+  WriteFixture fx("write_gengc_respelled", config);
+  const std::string spelled = fx.path;
+  {
+    auto client = fx.Connect();
+    CHECK_OK(client->InsertRegion(0, kBareWord1, 140, 160));
+    CHECK_OK(client->Compact());
+    CHECK_OK(client->InsertRegion(0, kBareWord2, 540, 560));
+  }
+  CHECK(Exists(spelled + ".gen2"));
+  const std::vector<so::RegionEntry> live = LiveRows(fx.srv.get());
+  const size_t slash = fx.path.rfind('/');
+  fx.path = fx.path.substr(0, slash) + "/." + fx.path.substr(slash);
+  Restart(&fx, config);  // the WAL names `spelled`.gen2
+  if (!fx.srv) return;
+  CHECK(LiveRows(fx.srv.get()) == live);
+  {
+    auto client = fx.Connect();
+    CHECK_OK(client->Compact());
+  }
+  CHECK(!Exists(spelled + ".gen2"));
+  CHECK(Exists(spelled + ".gen3"));
+  Restart(&fx, config);
+  if (!fx.srv) return;
+  CHECK(LiveRows(fx.srv.get()) == live);
+  std::remove((spelled + ".gen3").c_str());
+  RemoveTree(wal_dir);
 }
 
 static void TestSwapDropsPendingDeltas() {
@@ -501,6 +738,11 @@ int main() {
   RUN_TEST(TestHelloVersionExchange);
   RUN_TEST(TestWriteQueryCompactQuery);
   RUN_TEST(TestServerChosenCompactionPath);
+  RUN_TEST(TestCompactionDeletesSupersededGenerations);
+  RUN_TEST(TestGenerationCleanupAcrossRestarts);
+  RUN_TEST(TestFailedRotationKeepsOldGeneration);
+  RUN_TEST(TestClientNamedGenLikeBaseSurvives);
+  RUN_TEST(TestRespelledBootPathKeepsGenerationRules);
   RUN_TEST(TestSwapDropsPendingDeltas);
   RUN_TEST(TestWriteValidationOverWire);
   RUN_TEST(TestUnknownFrameTypeIsClientSafe);

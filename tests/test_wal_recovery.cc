@@ -38,6 +38,7 @@
 #include "storage/wal.h"
 #include "tests/fault_io.h"
 #include "tests/harness.h"
+#include "tests/oracle.h"
 
 using namespace standoff;
 using storage::Pre;
@@ -133,7 +134,7 @@ std::vector<so::RegionEntry> MergedEntries(const storage::MutableStore& s) {
   so::RegionIndexCache cache;
   auto merged = cache.Get(*view, 0, so::StandoffConfig{});
   CHECK_OK(merged);
-  return merged.ok() ? (*merged)->entries() : std::vector<so::RegionEntry>{};
+  return merged.ok() ? test::Rows(**merged) : std::vector<so::RegionEntry>{};
 }
 
 /// The op-log oracle: a fresh store with the acked prefix applied live.
@@ -594,7 +595,7 @@ static void TestReplayCompactReplayWithRetirement() {
     auto snapshot = storage::Snapshot::Open(snap);
     CHECK_OK(snapshot);
     if (!snapshot.ok()) return;
-    store.AdoptCompacted(frozen, (*snapshot)->shared_store(), snap);
+    CHECK_OK(store.AdoptCompacted(frozen, (*snapshot)->shared_store(), snap));
 
     const storage::WalStats stats = (*wal)->stats();
     CHECK_EQ(stats.rotations, uint64_t{1});
@@ -629,6 +630,58 @@ static void TestReplayCompactReplayWithRetirement() {
     CHECK_EQ(restored.sequence(), live_seq);
     CHECK(MergedEntries(restored) == live_entries);
   }
+  RemoveDirRecursive(dir);
+  std::remove(snap.c_str());
+}
+
+// A compaction whose WAL rotation fails still adopts the new base, but
+// AdoptCompacted reports the failure: the log's newest segment keeps
+// naming the previous base, so that file must stay, and recovery from
+// it reproduces the live state.
+static void TestFailedRotationIsReported() {
+  const std::string fp = so::ConfigFingerprint(so::StandoffConfig{});
+  const std::string dir = TempDir("rotatefail");
+  const std::string snap = TempSnap("rotatefail");
+  RemoveDirRecursive(dir);
+  const std::vector<ScriptOp> ops = Script(6, 0xF00D);
+  faultio::FaultFileIo fault;
+  WalOptions options;
+  options.dir = dir;
+  options.sync = WalSyncPolicy::kAlways;
+  options.io = &fault;
+  std::vector<so::RegionEntry> live_entries;
+  {
+    auto wal = Wal::Open(options, WalRecoveryResult{});
+    CHECK_OK(wal);
+    if (!wal.ok()) return;
+    storage::MutableStore store(MakeBase());
+    store.AttachWal(wal->get());
+    for (const ScriptOp& op : ops) CHECK_OK(ApplyOp(&store, op, fp));
+    uint64_t frozen = 0;
+    CHECK_OK(store.CompactToSnapshot(snap, nullptr, &frozen));
+    auto snapshot = storage::Snapshot::Open(snap);
+    CHECK_OK(snapshot);
+    if (!snapshot.ok()) return;
+    fault.set_fail_syncs_after(fault.syncs());  // the rotation's fsync fails
+    const Status rotated =
+        store.AdoptCompacted(frozen, (*snapshot)->shared_store(), snap);
+    CHECK(!rotated.ok());
+    CHECK((*wal)->failed());
+    CHECK_EQ((*wal)->stats().rotations, uint64_t{0});
+    // The new base is adopted regardless; reads see the same state.
+    CHECK_EQ(store.stats().compactions, uint64_t{1});
+    live_entries = MergedEntries(store);
+    CHECK(live_entries == OracleEntries(ops, ops.size(), fp));
+  }
+  fault.set_fail_syncs_after(-1);
+  auto recovery = ReplayWal(options);
+  CHECK_OK(recovery);
+  if (!recovery.ok()) return;
+  CHECK(recovery->base_path.empty());  // still the boot base
+  CHECK_EQ(recovery->ops.size(), ops.size());
+  storage::MutableStore restored(MakeBase());
+  CHECK_OK(restored.Restore(*recovery));
+  CHECK(MergedEntries(restored) == live_entries);
   RemoveDirRecursive(dir);
   std::remove(snap.c_str());
 }
@@ -700,7 +753,10 @@ static void TestWriterRacesAutoCompactorWithWal() {
             store.AutoCompactDone();
             return;
           }
-          store.AdoptCompacted(frozen, (*snapshot)->shared_store(), path);
+          if (!store.AdoptCompacted(frozen, (*snapshot)->shared_store(), path)
+                   .ok()) {
+            failures.fetch_add(1);
+          }
         });
       });
 
@@ -739,7 +795,7 @@ static void TestWriterRacesAutoCompactorWithWal() {
       oracle_rows.insert(oracle_rows.end(), rows.begin(), rows.end());
     }
     const so::RegionIndex oracle = so::RegionIndex::FromEntries(oracle_rows);
-    CHECK(live_entries == oracle.entries());
+    CHECK(live_entries == test::Rows(oracle));
   }
 
   // Crash-recover the whole racy run from disk: same merged bytes.
@@ -777,6 +833,7 @@ int main() {
   RUN_TEST(TestFsyncFailureLatchesReadOnly);
   RUN_TEST(TestShortWriteTornTailRecovers);
   RUN_TEST(TestReplayCompactReplayWithRetirement);
+  RUN_TEST(TestFailedRotationIsReported);
   RUN_TEST(TestWriterRacesAutoCompactorWithWal);
   TEST_MAIN();
 }

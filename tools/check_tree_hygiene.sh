@@ -7,7 +7,8 @@ cd "$(dirname "$0")/.."
 
 fail=0
 
-tracked="$(git ls-files | grep -E '^build[^/]*/|\.sosnap(\.tmp)?$' || true)"
+tracked="$(git ls-files |
+  grep -E '^build[^/]*/|^\.bench_build/|\.sosnap(\.tmp|\.gen[0-9]*)?$' || true)"
 if [[ -n "$tracked" ]]; then
   echo "ERROR: build trees / snapshot scratch tracked by git:" >&2
   echo "$tracked" >&2
@@ -15,8 +16,8 @@ if [[ -n "$tracked" ]]; then
 fi
 
 # .gitignore coverage: these representative paths must all be ignored.
-for path in build/x build-asan/x build-new-flavor/x scratch.sosnap \
-            scratch.sosnap.tmp; do
+for path in build/x build-asan/x build-new-flavor/x .bench_build/x \
+            scratch.sosnap scratch.sosnap.tmp scratch.sosnap.gen2; do
   if ! git check-ignore -q "$path"; then
     echo "ERROR: .gitignore no longer covers '$path'" >&2
     fail=1
