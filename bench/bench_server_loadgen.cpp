@@ -61,8 +61,8 @@ struct Options {
   uint32_t connections = 4;
   double rate = 150.0;       // scheduled arrivals per second
   double duration = 2.0;     // seconds
-  uint32_t queue = 8;        // in-process admission capacity
-  uint32_t workers = 2;      // in-process pool workers
+  uint32_t queue = 8;        // in-process bound on queries running at once
+  uint32_t workers = 2;      // in-process compaction pool workers
   uint32_t retry_attempts = 4;  // Query attempts per arrival (1 = off)
   bool swap = false;
   std::string swap_path;     // --connect swap target

@@ -35,11 +35,6 @@ ThreadPool::~ThreadPool() {
   // Workers only exit once every queue is empty, so nothing is dropped.
 }
 
-size_t ThreadPool::HardwareThreads() {
-  const unsigned n = std::thread::hardware_concurrency();
-  return n == 0 ? 1 : n;
-}
-
 void ThreadPool::Submit(std::function<void()> fn) {
   if (queues_.empty()) {
     fn();

@@ -50,8 +50,6 @@ class ThreadPool {
   /// work-stealing balances the rest). With zero workers, runs inline.
   void Submit(std::function<void()> fn);
 
-  static size_t HardwareThreads();
-
  private:
   struct Queue {
     std::mutex mu;

@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
-#include <condition_variable>
 #include <cstring>
 #include <utility>
 
@@ -59,6 +58,14 @@ std::string ErrorBody(const Status& status) {
   body.push_back(static_cast<char>(status.code()));
   body.append(status.message());
   return body;
+}
+
+/// The config fingerprint a write frame names after its fixed fields:
+/// empty selects the default StandoffConfig, anything else must parse.
+StatusOr<std::string> WriteFingerprint(std::string fingerprint) {
+  if (fingerprint.empty()) return so::ConfigFingerprint(so::StandoffConfig{});
+  STANDOFF_RETURN_IF_ERROR(so::ParseConfigFingerprint(fingerprint).status());
+  return fingerprint;
 }
 
 /// Chain payload: u32 context count + ids, u32 match count + rows of
@@ -119,15 +126,12 @@ std::string SerializeFlwor(const algebra::QueryResult& result) {
 
 }  // namespace
 
-/// Per-connection execution state: the (generation, delta sequence)
-/// this connection's engine was built over, the frozen delta view
+/// Per-connection execution state: the frozen delta view this
+/// connection's engine was built over (null until the first query),
 /// pinning that generation's mapping plus its delta runs, and the
-/// warmed BatchEngine. Only the connection's own thread touches it
-/// (frames are serial per connection); the pool task borrows it for
-/// exactly one query at a time.
+/// warmed BatchEngine. Only the connection's own thread touches it:
+/// frames, queries included, are handled serially per connection.
 struct Server::ConnState {
-  uint64_t generation = 0;  // 0 = no engine built yet
-  uint64_t delta_seq = 0;
   std::shared_ptr<const storage::DeltaStoreView> store;
   std::unique_ptr<xquery::BatchEngine> engine;
 };
@@ -484,9 +488,10 @@ bool Server::HandleQuery(int fd, ConnState* conn, const std::string& text) {
   // Pin the (generation, delta sequence) this query runs against: the
   // frozen view is consistent for the whole query no matter what
   // writers, compaction, or swaps do meanwhile. MutableStore caches
-  // the view, so an unchanged store returns the SAME object and the
-  // warm engine below is reused — the zero-write path costs one mutex
-  // hop and two comparisons.
+  // the view until the next write, compaction, or swap, so an
+  // unchanged store returns the SAME object and the warm engine below
+  // is reused — the zero-write path costs one mutex hop and one
+  // pointer comparison.
   uint64_t generation = 0;
   std::shared_ptr<const storage::DeltaStoreView> store;
   {
@@ -494,129 +499,92 @@ bool Server::HandleQuery(int fd, ConnState* conn, const std::string& text) {
     generation = generation_;
     store = mutable_store_->View();
   }
-  if (conn->generation != generation ||
-      conn->delta_seq != store->delta_sequence()) {
+  if (conn->store != store) {
     // First query after a swap, compaction, or delta write (or ever):
-    // rebuild the engine over the new view. The old view's reference
-    // drops here — this is where an idle connection releases the
-    // previous mapping.
-    xquery::EngineOptions options;
-    options.timeout_seconds = config_.query_timeout_seconds;
-    conn->engine =
-        std::make_unique<xquery::BatchEngine>(store.get(), options);
+    // rebuild the engine over the new view. conn->store pins the old
+    // view until here, so a new view never reuses its address. The old
+    // view's reference drops here — this is where an idle connection
+    // releases the previous mapping.
+    conn->engine = std::make_unique<xquery::BatchEngine>(
+        store.get(), xquery::EngineOptions{});
     conn->store = store;
-    conn->generation = generation;
-    conn->delta_seq = store->delta_sequence();
   }
 
-  // Run on the shared pool; the connection thread waits (frames stay
-  // serial per connection) and the gate empties when the task ends.
-  struct TaskResult {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
-    Status status;
-    std::string payload;
-    uint8_t kind = kKindChain;
-    uint64_t rows = 0;
-    double seconds = 0;
-  };
-  auto result = std::make_shared<TaskResult>();
-  pool_->Submit([this, conn, store, parsed = *parsed, result] {
-    Timer timer;
-    Status status;
-    std::string payload;
-    uint8_t kind = kKindChain;
-    uint64_t rows = 0;
-    if (parsed.kind == ParsedQuery::Kind::kChain) {
-      if (parsed.chain.doc >= store->document_count()) {
-        status = Status::Invalid(
-            "doc " + std::to_string(parsed.chain.doc) + " out of range (" +
-            std::to_string(store->document_count()) + " documents)");
-      } else {
-        xquery::Engine* engine =
-            conn->engine->shard_engine(store->shard_of(parsed.chain.doc));
-        // Per-query deadline: the tighter of the request's deadline_ms
-        // and the server's configured timeout, restored afterwards
-        // (frames are serial per connection, so the engine is ours).
-        const double configured = config_.query_timeout_seconds;
-        if (parsed.deadline_seconds > 0) {
-          engine->mutable_options()->timeout_seconds =
-              configured > 0 ? std::min(configured, parsed.deadline_seconds)
-                             : parsed.deadline_seconds;
-        }
-        auto chain = engine->EvaluateChain(parsed.chain);
-        engine->mutable_options()->timeout_seconds = configured;
-        if (chain.ok()) {
-          payload = SerializeChain(*chain);
-          rows = chain->matches.size();
-          subplan_hits_.fetch_add(chain->stats.memo_hits,
-                                  std::memory_order_relaxed);
-          subplan_misses_.fetch_add(chain->stats.memo_misses,
-                                    std::memory_order_relaxed);
-          subplan_evictions_.fetch_add(chain->stats.memo_evictions,
-                                       std::memory_order_relaxed);
-        } else {
-          status = chain.status();
-        }
-      }
+  // Run on this connection thread (frames stay serial per connection,
+  // so the engine is ours). Every query sets its deadline: the tighter
+  // of the request's deadline_ms and the server's configured timeout.
+  Timer timer;
+  double timeout = config_.query_timeout_seconds;
+  if (parsed->deadline_seconds > 0) {
+    timeout = timeout > 0 ? std::min(timeout, parsed->deadline_seconds)
+                          : parsed->deadline_seconds;
+  }
+  Status status;
+  std::string payload;
+  uint8_t kind = kKindChain;
+  uint64_t rows = 0;
+  if (parsed->kind == ParsedQuery::Kind::kChain) {
+    if (parsed->chain.doc >= store->document_count()) {
+      status = Status::Invalid(
+          "doc " + std::to_string(parsed->chain.doc) + " out of range (" +
+          std::to_string(store->document_count()) + " documents)");
     } else {
-      kind = kKindFlwor;
-      xquery::Engine* engine = conn->engine->shard_engine(0);
-      const double configured = config_.query_timeout_seconds;
-      if (parsed.deadline_seconds > 0) {
-        engine->mutable_options()->timeout_seconds =
-            configured > 0 ? std::min(configured, parsed.deadline_seconds)
-                           : parsed.deadline_seconds;
-      }
-      auto flwor = engine->Evaluate(parsed.flwor);
-      engine->mutable_options()->timeout_seconds = configured;
-      if (flwor.ok()) {
-        payload = SerializeFlwor(*flwor);
-        rows = flwor->items.size();
+      xquery::Engine* engine =
+          conn->engine->shard_engine(store->shard_of(parsed->chain.doc));
+      engine->mutable_options()->timeout_seconds = timeout;
+      auto chain = engine->EvaluateChain(parsed->chain);
+      if (chain.ok()) {
+        payload = SerializeChain(*chain);
+        rows = chain->matches.size();
+        subplan_hits_.fetch_add(chain->stats.memo_hits,
+                                std::memory_order_relaxed);
+        subplan_misses_.fetch_add(chain->stats.memo_misses,
+                                  std::memory_order_relaxed);
+        subplan_evictions_.fetch_add(chain->stats.memo_evictions,
+                                     std::memory_order_relaxed);
       } else {
-        status = flwor.status();
+        status = chain.status();
       }
     }
-    const double seconds = timer.ElapsedSeconds();
-    gate_.Leave();
-    {
-      std::lock_guard<std::mutex> lock(result->mu);
-      result->status = status;
-      result->payload = std::move(payload);
-      result->kind = kind;
-      result->rows = rows;
-      result->seconds = seconds;
-      result->done = true;
+  } else {
+    kind = kKindFlwor;
+    xquery::Engine* engine = conn->engine->shard_engine(0);
+    engine->mutable_options()->timeout_seconds = timeout;
+    auto flwor = engine->Evaluate(parsed->flwor);
+    if (flwor.ok()) {
+      payload = SerializeFlwor(*flwor);
+      rows = flwor->items.size();
+    } else {
+      status = flwor.status();
     }
-    result->cv.notify_one();
-  });
+  }
+  const double seconds = timer.ElapsedSeconds();
+  // The slot frees before the result is written, so a slow reader
+  // never holds it.
+  gate_.Leave();
 
-  std::unique_lock<std::mutex> lock(result->mu);
-  result->cv.wait(lock, [&result] { return result->done; });
-
-  if (!result->status.ok()) {
+  if (!status.ok()) {
     queries_error_.fetch_add(1, std::memory_order_relaxed);
-    return WriteFrame(fd, MsgType::kError, ErrorBody(result->status)).ok();
+    return WriteFrame(fd, MsgType::kError, ErrorBody(status)).ok();
   }
   queries_ok_.fetch_add(1, std::memory_order_relaxed);
 
   std::string header;
   AppendU64(&header, generation);
-  header.push_back(static_cast<char>(result->kind));
-  AppendU64(&header, result->payload.size());
-  AppendU64(&header, result->rows);
+  header.push_back(static_cast<char>(kind));
+  AppendU64(&header, payload.size());
+  AppendU64(&header, rows);
   if (!WriteFrame(fd, MsgType::kResultHeader, header).ok()) return false;
-  for (size_t off = 0; off < result->payload.size(); off += kChunkBytes) {
-    const size_t len = std::min(kChunkBytes, result->payload.size() - off);
+  for (size_t off = 0; off < payload.size(); off += kChunkBytes) {
+    const size_t len = std::min(kChunkBytes, payload.size() - off);
     if (!WriteFrame(fd, MsgType::kResultChunk,
-                    std::string_view(result->payload).substr(off, len))
+                    std::string_view(payload).substr(off, len))
              .ok()) {
       return false;
     }
   }
   std::string end;
-  AppendU64(&end, static_cast<uint64_t>(result->seconds * 1e6));
+  AppendU64(&end, static_cast<uint64_t>(seconds * 1e6));
   return WriteFrame(fd, MsgType::kResultEnd, end).ok();
 }
 
@@ -631,15 +599,13 @@ bool Server::HandleInsert(int fd, const std::string& body) {
                       ErrorBody(Status::Invalid("short insert frame")))
         .ok();
   }
-  std::string fingerprint = body.substr(off);
-  if (fingerprint.empty()) {
-    fingerprint = so::ConfigFingerprint(so::StandoffConfig{});
-  } else if (auto parsed = so::ParseConfigFingerprint(fingerprint);
-             !parsed.ok()) {
-    return WriteFrame(fd, MsgType::kError, ErrorBody(parsed.status())).ok();
+  auto fingerprint = WriteFingerprint(body.substr(off));
+  if (!fingerprint.ok()) {
+    return WriteFrame(fd, MsgType::kError, ErrorBody(fingerprint.status()))
+        .ok();
   }
   auto seq = mutable_store_->InsertRegion(
-      *doc, fingerprint, static_cast<int64_t>(*start),
+      *doc, *fingerprint, static_cast<int64_t>(*start),
       static_cast<int64_t>(*end), *id);
   if (!seq.ok()) {
     return WriteFrame(fd, MsgType::kError, ErrorBody(seq.status())).ok();
@@ -658,14 +624,12 @@ bool Server::HandleDelete(int fd, const std::string& body) {
                       ErrorBody(Status::Invalid("short delete frame")))
         .ok();
   }
-  std::string fingerprint = body.substr(off);
-  if (fingerprint.empty()) {
-    fingerprint = so::ConfigFingerprint(so::StandoffConfig{});
-  } else if (auto parsed = so::ParseConfigFingerprint(fingerprint);
-             !parsed.ok()) {
-    return WriteFrame(fd, MsgType::kError, ErrorBody(parsed.status())).ok();
+  auto fingerprint = WriteFingerprint(body.substr(off));
+  if (!fingerprint.ok()) {
+    return WriteFrame(fd, MsgType::kError, ErrorBody(fingerprint.status()))
+        .ok();
   }
-  auto seq = mutable_store_->DeleteRegions(*doc, fingerprint, *id);
+  auto seq = mutable_store_->DeleteRegions(*doc, *fingerprint, *id);
   if (!seq.ok()) {
     return WriteFrame(fd, MsgType::kError, ErrorBody(seq.status())).ok();
   }

@@ -4,10 +4,13 @@
 //
 //   accept thread ── spawns ──> one thread per connection (frames are
 //   handled serially per connection) ── admits queries through the
-//   AdmissionGate ──> shared execution ThreadPool runs the query on the
-//   connection's BatchEngine; the connection thread streams the result.
+//   AdmissionGate, runs each admitted query to completion on its own
+//   BatchEngine, leaves the gate, then streams the result.
 //
-// Backpressure: the gate bounds queries queued-or-running across ALL
+// The shared ThreadPool runs compactions only: threshold-triggered
+// auto-compaction and Compact's parallel merges. Queries never touch it.
+//
+// Backpressure: the gate bounds the queries running at once across ALL
 // connections. When it is full, a kQueryReq is answered immediately
 // with kBusy — the request is never buffered, so a burst cannot grow
 // an unbounded queue; clients retry with their own policy. Capacity 0
@@ -16,15 +19,17 @@
 // Snapshot hot-swap: SwapSnapshot opens the new file, publishes
 // {generation+1, new shared store} under the state mutex, and destroys
 // the Snapshot object immediately. Draining is entirely reference
-// counting (the PR-7 mapping-lifetime contract): every admitted query
-// captured a shared_ptr to the generation it started on, so in-flight
-// work finishes over the old mapping and the munmap happens when the
-// last reference drops. No query ever blocks on a swap, and a swap
-// never waits for queries.
+// counting (the mapping-lifetime contract of DESIGN.md §13): every
+// admitted query captured a shared_ptr to the view it started on, so
+// in-flight work finishes over the old mapping and the munmap happens
+// when the last reference drops. No query ever blocks on a swap, and a
+// swap never waits for queries.
 //
 // A connection's BatchEngine (and its warmed caches) is rebuilt lazily
-// on the first query AFTER the connection observes a new generation;
-// an idle connection therefore pins the previous mapping until its
+// on the first query that sees a different store view than the one the
+// engine was built over. MutableStore hands out a new view object after
+// every write, compaction, or swap, so view identity is the rebuild
+// key. An idle connection therefore pins the previous mapping until its
 // next query — the deliberate cost of zero coordination on the query
 // path.
 #ifndef STANDOFF_SERVER_SERVER_H_
@@ -53,9 +58,11 @@ struct ServerConfig {
   /// TCP port to listen on; 0 binds an ephemeral port (read it back
   /// with port()). Listens on 127.0.0.1 only.
   uint16_t port = 0;
-  /// Workers in the shared execution pool.
+  /// Workers in the compaction pool: threshold-triggered compactions
+  /// run on it and Compact fans its merges out over it. Queries run on
+  /// their connection threads, not here.
   uint32_t pool_workers = 2;
-  /// Admission bound: queries queued-or-running across all connections.
+  /// Admission bound: queries running at once across all connections.
   /// Requests beyond it get kBusy. 0 = reject every query.
   uint32_t admission_capacity = 8;
   /// Connections beyond this are greeted with kError and closed.
@@ -74,8 +81,8 @@ struct ServerConfig {
   /// real POSIX I/O. Must outlive the server.
   storage::FileIo* wal_io = nullptr;
   /// Threshold-triggered auto-compaction: when pending delta rows +
-  /// tombstones reach this, a compaction is scheduled on the shared
-  /// pool (at most one in flight). 0 disables.
+  /// tombstones reach this, a compaction is scheduled on the
+  /// compaction pool (at most one in flight). 0 disables.
   uint64_t compact_live_rows_threshold = 0;
 };
 
@@ -127,9 +134,6 @@ class AdmissionGate {
     return true;
   }
   void Leave() { in_flight_.fetch_sub(1, std::memory_order_release); }
-  int64_t in_flight() const {
-    return in_flight_.load(std::memory_order_relaxed);
-  }
 
  private:
   std::atomic<int64_t> in_flight_{0};
@@ -187,7 +191,7 @@ class Server {
 
   void AcceptLoop();
   void ConnectionLoop(int fd);
-  /// One kQueryReq: parse, admit, execute on the pool, stream result.
+  /// One kQueryReq: parse, admit, execute on this thread, stream result.
   /// Returns false when the connection is no longer writable.
   bool HandleQuery(int fd, ConnState* conn, const std::string& text);
   bool HandleInsert(int fd, const std::string& body);
@@ -229,6 +233,7 @@ class Server {
   uint64_t wal_truncated_bytes_ = 0;  // set once at boot
 
   AdmissionGate gate_;
+  /// Runs compactions only (see the file comment).
   std::unique_ptr<ThreadPool> pool_;
 
   std::atomic<bool> stopping_{false};

@@ -9,6 +9,10 @@
 //                   [--scale=0.02] [--docs=4] [--shards=2]
 //                   [--bootstrap-only]
 //
+// --workers sizes the compaction pool (threshold-triggered compactions
+// and a compaction's parallel merges; queries run on their connection
+// threads). --queue bounds the queries running at once; requests
+// beyond it are answered kBusy.
 // --wal-dir enables crash-safe write-ahead durability (DESIGN.md §16):
 // boot replays the log (recovering acknowledged writes, truncating a
 // torn tail) and every accepted write is logged before its ack.

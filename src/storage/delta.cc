@@ -245,11 +245,6 @@ std::shared_ptr<const DeltaStoreView> MutableStore::View() const {
   return view_;
 }
 
-std::shared_ptr<const ShardedStore> MutableStore::base() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return base_;
-}
-
 uint64_t MutableStore::sequence() const {
   std::lock_guard<std::mutex> lock(mu_);
   return seq_;

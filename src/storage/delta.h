@@ -117,9 +117,6 @@ class DeltaStoreView : public StoreView {
       DocId doc, const std::string& config_fingerprint) const override;
   uint64_t delta_sequence() const override { return seq_; }
 
-  /// The pinned base: holders transitively keep its mapping alive.
-  const std::shared_ptr<const ShardedStore>& base() const { return base_; }
-
   /// Live delta rows / tombstones summed over every run in this view.
   size_t live_insert_rows() const;
   size_t live_tombstones() const;
@@ -197,13 +194,11 @@ class MutableStore {
                                    Pre id);
 
   /// The frozen view at the current sequence number. Cached: repeated
-  /// calls between writes return the SAME view object, so readers can
-  /// key engine reuse on (generation, delta_sequence) and pay no
-  /// rebuild on an unchanged store.
+  /// calls between writes return the SAME view object, and every
+  /// insert, delete, restore, adopted compaction, or base reset makes
+  /// the next call return a new one, so readers can key engine reuse
+  /// on view identity and pay no rebuild on an unchanged store.
   std::shared_ptr<const DeltaStoreView> View() const;
-
-  /// The current base (the latest adopted snapshot generation).
-  std::shared_ptr<const ShardedStore> base() const;
 
   uint64_t sequence() const;
   DeltaStats stats() const;

@@ -499,6 +499,10 @@ StatusOr<ChainResult> Engine::EvaluateChain(const ChainQuery& query) {
   }
 
   spec.iter_count = static_cast<uint32_t>(result.context_ids.size());
+  // One region per context node is the common case; reserving for it
+  // spares the growth copies of a context that can run to megabytes.
+  spec.ann_iters.reserve(spec.iter_count);
+  spec.context.reserve(spec.iter_count);
   for (uint32_t i = 0; i < spec.iter_count; ++i) {
     (*index)->ForEachRegionOf(
         result.context_ids[i], [&](int64_t start, int64_t end) {
@@ -545,7 +549,7 @@ StatusOr<ChainResult> Engine::EvaluateChain(const ChainQuery& query) {
       keys[k] = prefix;
     }
     STANDOFF_RETURN_IF_ERROR(
-        EvaluateChainShared(spec, **index, keys, exec, &result));
+        EvaluateChainShared(std::move(spec), **index, keys, exec, &result));
     return result;
   }
   STANDOFF_RETURN_IF_ERROR(so::ExecuteChain(spec, result.plan, exec,
@@ -569,7 +573,7 @@ storage::RegionStats ContextStats(const std::vector<so::IterRegion>& ctx) {
 
 }  // namespace
 
-Status Engine::EvaluateChainShared(const so::ChainSpec& spec,
+Status Engine::EvaluateChainShared(so::ChainSpec spec,
                                    const so::RegionIndex& index,
                                    const std::vector<std::string>& keys,
                                    const so::ParallelJoinOptions& exec,
@@ -607,8 +611,8 @@ Status Engine::EvaluateChainShared(const so::ChainSpec& spec,
     so::ChainSpec suffix;
     suffix.iter_count = spec.iter_count;
     if (p == 0) {
-      suffix.context = spec.context;
-      suffix.ann_iters = spec.ann_iters;
+      suffix.context = std::move(spec.context);
+      suffix.ann_iters = std::move(spec.ann_iters);
       suffix.context_stats = spec.context_stats;
     } else {
       so::MatchesToContext(matches, index, &ctx_buf, &iter_buf);
@@ -669,26 +673,6 @@ Status Engine::EvaluateChainShared(const so::ChainSpec& spec,
   total.memo_evictions = memo->evictions() - evictions0;
   result->stats = total;
   return Status::OK();
-}
-
-std::vector<StatusOr<algebra::QueryResult>> Engine::EvaluateBatch(
-    const std::vector<std::string>& queries) {
-  std::vector<StatusOr<algebra::QueryResult>> results;
-  results.reserve(queries.size());
-  // Batch-level CSE at the whole-query granularity: evaluation over an
-  // immutable store is deterministic, so a repeated query text inside
-  // one batch reuses the first occurrence's result.
-  std::map<std::string, size_t> first_slot;
-  for (const std::string& query : queries) {
-    const auto it = first_slot.find(query);
-    if (it != first_slot.end() && options_.share_subplans) {
-      results.push_back(results[it->second]);
-      continue;
-    }
-    if (it == first_slot.end()) first_slot.emplace(query, results.size());
-    results.push_back(Evaluate(query));
-  }
-  return results;
 }
 
 BatchEngine::BatchEngine(const storage::StoreView* store,

@@ -128,12 +128,6 @@ class Engine {
 
   StatusOr<algebra::QueryResult> Evaluate(const std::string& query_text);
 
-  /// N text queries at once on this engine, sharing its index caches,
-  /// candidate sets, arenas, and worker pool — the amortized form of N
-  /// separate Evaluate calls on N fresh engines.
-  std::vector<StatusOr<algebra::QueryResult>> EvaluateBatch(
-      const std::vector<std::string>& queries);
-
   /// Plans and executes a multi-predicate chain query: candidate
   /// pushdown per layer (skipped when the name covers most of the
   /// index — matches are then name-filtered after the join), then
@@ -215,8 +209,10 @@ class Engine {
   /// cached predicate prefix, execute only the suffix (re-planned over
   /// the cached result's real cardinalities), and populate the memo
   /// with every newly evaluated prefix. `keys[k]` is the canonical key
-  /// of the prefix ending at edge k.
-  Status EvaluateChainShared(const so::ChainSpec& spec,
+  /// of the prefix ending at edge k. Takes `spec` by value: on a memo
+  /// miss its context moves into the executed suffix instead of being
+  /// copied.
+  Status EvaluateChainShared(so::ChainSpec spec,
                              const so::RegionIndex& index,
                              const std::vector<std::string>& keys,
                              const so::ParallelJoinOptions& exec,

@@ -178,9 +178,19 @@ class Parser {
     return Status::OK();
   }
 
+  /// Every recursive descent passes through here, so this one counter
+  /// bounds the parser's stack and the depth of the tree it builds.
   StatusOr<ExprPtr> ParseExpr() {
-    if (PeekName("for")) return ParseFor();
-    return ParseAdditive();
+    if (depth_ >= kMaxParseDepth) return TooDeep();
+    ++depth_;
+    StatusOr<ExprPtr> expr = PeekName("for") ? ParseFor() : ParseAdditive();
+    --depth_;
+    return expr;
+  }
+
+  static Status TooDeep() {
+    return Status::Invalid("query nests deeper than " +
+                           std::to_string(kMaxParseDepth) + " levels");
   }
 
   StatusOr<ExprPtr> ParseFor() {
@@ -210,7 +220,11 @@ class Parser {
     StatusOr<ExprPtr> lhs = ParseUnary();
     if (!lhs.ok()) return lhs.status();
     ExprPtr expr = std::move(*lhs);
+    // Each '+' deepens the left-leaning tree by one level. An error
+    // ends the whole parse, so only success restores the counter.
+    const int depth = depth_;
     while (Peek().kind == Tok::kPlus) {
+      if (++depth_ > kMaxParseDepth) return TooDeep();
       Advance();
       StatusOr<ExprPtr> rhs = ParseUnary();
       if (!rhs.ok()) return rhs.status();
@@ -219,6 +233,7 @@ class Parser {
       add->rhs = std::move(*rhs);
       expr = std::move(add);
     }
+    depth_ = depth;
     return expr;
   }
 
@@ -380,6 +395,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  int depth_ = 0;  // open nesting levels, at most kMaxParseDepth
 };
 
 }  // namespace

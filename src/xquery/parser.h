@@ -10,6 +10,12 @@
 namespace standoff {
 namespace xquery {
 
+/// Deepest expression nesting ParseQuery accepts: every '(', 'for',
+/// 'count(' and '+' opens one level. Deeper input is refused with
+/// kInvalidArgument, so query text from outside can never overflow
+/// the stack of the recursive parser, evaluator or AST destructor.
+inline constexpr int kMaxParseDepth = 256;
+
 StatusOr<Query> ParseQuery(std::string_view text);
 
 }  // namespace xquery

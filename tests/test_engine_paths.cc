@@ -2,6 +2,7 @@
 #include "storage/document_store.h"
 #include "tests/harness.h"
 #include "xquery/engine.h"
+#include "xquery/parser.h"
 
 using namespace standoff;
 using algebra::Item;
@@ -130,6 +131,61 @@ static void TestErrors() {
              .ok());
 }
 
+// Nesting at kMaxParseDepth parses and evaluates; one level deeper is
+// kInvalidArgument, for every construct that opens a level.
+static void TestNestingDepthLimit() {
+  Fixture fx;
+  const int limit = xquery::kMaxParseDepth;
+  const auto invalid = [](const std::string& text) {
+    return xquery::ParseQuery(text).status().code() ==
+           StatusCode::kInvalidArgument;
+  };
+  // The query body is level 1, so limit - 1 parentheses reach the limit.
+  const auto parens = [](int levels) {
+    return std::string(levels - 1, '(') + "//book" +
+           std::string(levels - 1, ')');
+  };
+  CHECK_EQ(fx.Count(parens(limit)), 3u);
+  CHECK(invalid(parens(limit + 1)));
+
+  const auto counts = [](int levels) {
+    std::string text;
+    for (int i = 1; i < levels; ++i) text += "count(";
+    return text + "//book" + std::string(levels - 1, ')');
+  };
+  CHECK_EQ(fx.Int(counts(limit)), 1);  // count(3 books) = 3, then 1s
+  CHECK(invalid(counts(limit + 1)));
+
+  // Each '+' deepens the left-leaning sum by one level.
+  const auto sum = [](int levels) {
+    std::string text = "1";
+    for (int i = 1; i < levels; ++i) text += "+1";
+    return text;
+  };
+  auto total = fx.engine.Evaluate(sum(limit));
+  CHECK_OK(total);
+  if (total.ok() && total->items.size() == 1) {
+    CHECK_EQ(total->items[0].double_value(), static_cast<double>(limit));
+  }
+  CHECK(invalid(sum(limit + 1)));
+
+  const auto fors = [](int levels) {
+    std::string text;
+    for (int i = 1; i < levels; ++i) text += "for $x in /library return ";
+    return text + "//book";
+  };
+  CHECK_EQ(fx.Count(fors(limit)), 3u);
+  CHECK(invalid(fors(limit + 1)));
+
+  // Far past the limit (sizes that used to overflow the stack) is a
+  // clean error too, and the engine still answers afterwards.
+  CHECK(fx.engine.Evaluate(parens(50000)).status().code() ==
+        StatusCode::kInvalidArgument);
+  CHECK(fx.engine.Evaluate(sum(200000)).status().code() ==
+        StatusCode::kInvalidArgument);
+  CHECK_EQ(fx.Count("//book"), 3u);
+}
+
 int main() {
   RUN_TEST(TestChildAndDescendant);
   RUN_TEST(TestPredicates);
@@ -137,5 +193,6 @@ int main() {
   RUN_TEST(TestFlwor);
   RUN_TEST(TestResultItems);
   RUN_TEST(TestErrors);
+  RUN_TEST(TestNestingDepthLimit);
   TEST_MAIN();
 }

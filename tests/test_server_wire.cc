@@ -205,6 +205,25 @@ static void TestMalformedQueriesKeepConnectionUsable() {
   CHECK(stats->queries_error >= uint64_t{sizeof bad / sizeof bad[0]});
 }
 
+// A FLWOR query of 50 000 nested parentheses (~100 KB, well under the
+// frame cap) used to overflow the stack and kill the process. Now the
+// parser's depth limit answers kError and the connection stays usable.
+static void TestDeeplyNestedQueryKeepsServerUp() {
+  ServerFixture fx("wire_deep");
+  auto client = fx.Connect();
+  const std::string deep =
+      "flwor " + std::string(50000, '(') + "1" + std::string(50000, ')');
+  auto reply = client->Query(deep);
+  CHECK(!reply.ok());
+  CHECK(reply.status().code() == StatusCode::kInvalidArgument);
+  CHECK_OK(client->Ping());
+  auto good = client->Query(kChainQuery);
+  CHECK_OK(good);
+  CHECK(good->rows > 0);
+  auto flwor = client->Query("flwor count(/play/select-narrow::word)");
+  CHECK_OK(flwor);
+}
+
 // A peer that announces a frame and hangs up mid-payload, or sends a
 // hostile length prefix: the server drops that connection and keeps
 // serving everyone else.
@@ -272,8 +291,8 @@ static void TestClientDisconnectMidStream() {
   auto client = fx.Connect();
   CHECK_OK(client->Ping());
   // The eight abandoned queries were all admitted and may still be
-  // draining; retry past their transient busy rejections rather than
-  // racing the worker pool.
+  // draining on their connection threads; retry past their transient
+  // busy rejections rather than racing them.
   server::QueryRetryOptions retry;
   retry.max_attempts = 50;
   auto reply = client->QueryWithRetry(kChainQuery, retry);
@@ -432,6 +451,7 @@ int main() {
   RUN_TEST(TestPingAndQueryRoundTrip);
   RUN_TEST(TestFlworQuery);
   RUN_TEST(TestMalformedQueriesKeepConnectionUsable);
+  RUN_TEST(TestDeeplyNestedQueryKeepsServerUp);
   RUN_TEST(TestTruncatedAndOversizedFrames);
   RUN_TEST(TestClientDisconnectMidStream);
   RUN_TEST(TestBackpressureRejectsWhenFull);

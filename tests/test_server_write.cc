@@ -10,8 +10,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "server/client.h"
@@ -734,6 +736,139 @@ static void TestAutoCompactionOverWire() {
   std::remove((fx.path + ".gen2").c_str());
 }
 
+/// The chain payload the server must send for kChainQuery over `xml`,
+/// built from the local oracle in the wire layout.
+std::string OraclePayload(const std::string& xml) {
+  const xquery::ChainResult want = Oracle(xml);
+  std::string payload;
+  server::AppendU32(&payload, static_cast<uint32_t>(want.context_ids.size()));
+  for (Pre id : want.context_ids) server::AppendU32(&payload, id);
+  server::AppendU32(&payload, static_cast<uint32_t>(want.matches.size()));
+  for (const so::IterMatch& match : want.matches) {
+    server::AppendU32(&payload, match.iter);
+    server::AppendU32(&payload, match.pre);
+  }
+  return payload;
+}
+
+/// The integer a one-item FLWOR payload carries; -1 for any other shape.
+int64_t FlworInt(const std::string& payload) {
+  size_t off = 0;
+  auto count = server::TakeU32(payload, &off);
+  if (!count.ok() || *count != 1 || off >= payload.size() ||
+      payload[off++] != static_cast<char>(algebra::Item::Kind::kInt)) {
+    return -1;
+  }
+  auto value = server::TakeU64(payload, &off);
+  return value.ok() ? static_cast<int64_t>(*value) : -1;
+}
+
+// Queries run on their connection threads while compactions use the
+// server's pool. Four connections loop a chain and a FLWOR query while a
+// fifth toggles a region and issues server-named compactions, all on a
+// one-worker pool. Every reply is OK and shows one of the two states
+// the writes alternate between; once the writer stops, every
+// connection's answers equal a cold evaluation of the final state.
+static void TestQueriesBesideCompactions() {
+  server::ServerConfig config;
+  config.pool_workers = 1;
+  config.admission_capacity = 4;
+  WriteFixture fx("write_concurrent", config);
+  const std::string without_word = CorpusXml();
+  const std::string with_word =
+      "<play>"
+      "<scene start=\"0\" end=\"999\"/>"
+      "<speech start=\"100\" end=\"400\"/>"
+      "<word start=\"110\" end=\"130\"/>"
+      "<word start=\"140\" end=\"160\"/>"
+      "<speech start=\"500\" end=\"800\"/>"
+      "<word start=\"510\" end=\"530\"/>"
+      "<word/>"
+      "</play>";
+  const std::string flwor = "count(//speech/select-narrow::word)";
+  const auto cold_count = [&flwor](const std::string& xml) -> int64_t {
+    storage::ShardedStore store(1);
+    CHECK_OK(store.AddDocumentText("d0", xml));
+    xquery::Engine engine(&store);
+    auto result = engine.Evaluate(flwor);
+    CHECK_OK(result);
+    return result.ok() && result->items.size() == 1
+               ? result->items[0].int_value()
+               : -2;
+  };
+  const std::string chain_without = OraclePayload(without_word);
+  const std::string chain_with = OraclePayload(with_word);
+  const int64_t count_without = cold_count(without_word);
+  const int64_t count_with = cold_count(with_word);
+  CHECK(chain_without != chain_with);
+  CHECK(count_without != count_with);
+
+  std::atomic<bool> writing{true};
+  std::atomic<int> bad_replies{0};
+  std::atomic<int> bad_final{0};
+  std::atomic<int> replies{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 4; ++r) {
+    readers.emplace_back([&] {
+      auto client = server::Client::Connect(fx.srv->port());
+      if (!client.ok()) {
+        bad_replies.fetch_add(1);
+        return;
+      }
+      const auto ask = [&](const std::string& text) -> std::string {
+        auto reply = (*client)->Query(text);
+        if (!reply.ok() || reply->busy) return "<failed>";
+        return reply->payload;
+      };
+      for (int i = 0; i < 10 || writing.load(); ++i) {
+        const std::string chain = ask(kChainQuery);
+        if (chain != chain_without && chain != chain_with) {
+          bad_replies.fetch_add(1);
+        }
+        const int64_t count = FlworInt(ask("flwor " + flwor));
+        if (count != count_without && count != count_with) {
+          bad_replies.fetch_add(1);
+        }
+        replies.fetch_add(2);
+      }
+      // The writer has stopped: the final state holds the region.
+      if (ask(kChainQuery) != chain_with) bad_final.fetch_add(1);
+      if (FlworInt(ask("flwor " + flwor)) != count_with) {
+        bad_final.fetch_add(1);
+      }
+    });
+  }
+
+  auto writer = fx.Connect();
+  int write_errors = 0;
+  int compactions = 0;
+  for (int round = 0; round < 12; ++round) {
+    write_errors += !writer->InsertRegion(0, kBareWord1, 140, 160).ok();
+    if (round % 2 == 0) compactions += writer->Compact().ok();
+    write_errors += !writer->DeleteRegions(0, kBareWord1).ok();
+    if (round % 2 == 1) compactions += writer->Compact().ok();
+  }
+  write_errors += !writer->InsertRegion(0, kBareWord1, 140, 160).ok();
+  writing.store(false);
+  for (std::thread& reader : readers) reader.join();
+
+  CHECK_EQ(write_errors, 0);
+  CHECK_EQ(compactions, 12);
+  CHECK_EQ(bad_replies.load(), 0);
+  CHECK_EQ(bad_final.load(), 0);
+  CHECK(replies.load() >= 4 * 2 * 10);
+  auto stats = writer->Stats();
+  CHECK_OK(stats);
+  if (stats.ok()) {
+    CHECK_EQ(stats->compactions, uint64_t{12});
+    CHECK_EQ(stats->queries_rejected, uint64_t{0});
+    CHECK_EQ(stats->queries_error, uint64_t{0});
+    // Only the newest server-named generation is left on disk.
+    std::remove((fx.path + ".gen" + std::to_string(stats->generation))
+                    .c_str());
+  }
+}
+
 int main() {
   RUN_TEST(TestHelloVersionExchange);
   RUN_TEST(TestWriteQueryCompactQuery);
@@ -750,5 +885,6 @@ int main() {
   RUN_TEST(TestWalRestartRecoveryOverWire);
   RUN_TEST(TestWalFailureDegradesToReadOnly);
   RUN_TEST(TestAutoCompactionOverWire);
+  RUN_TEST(TestQueriesBesideCompactions);
   TEST_MAIN();
 }
